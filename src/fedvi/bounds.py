@@ -25,7 +25,6 @@ from .datagen import FederatedDataset, GenConfig, GroundTruth, generate_hierarch
 from .distributions import DiagGaussian, kl_diag, standard_prior
 from .federation import TrainConfig, iter_local_batches
 from .model import FedVIParams, embed, forward_batch, minibatch_loss, predict_logits, split_features
-from .nn import Tensor
 from .seeding import DOMAIN_CLIENT, substream
 
 TRUE_RISK_POINTS_PER_CLIENT = 2048
@@ -37,8 +36,9 @@ class ElboReport:
     """Loss decomposition: expected loss, regularizers and their total.
 
     ``local_regs`` are per-client sums of KL / batch-size, so that
-    ``expected_loss + gamma * global_reg + tau * sum(local_regs)`` matches
-    the accumulated per-minibatch objective exactly.
+    ``expected_loss + tau * sum(local_regs)`` matches the accumulated
+    per-minibatch objective exactly. ``global_reg`` is the global KL, 0 for
+    the point-estimate global posterior, and carries no weight.
     """
 
     expected_loss: float
@@ -46,11 +46,11 @@ class ElboReport:
     local_regs: dict[int, float]
     total: float
 
-    def recomposed(self, tau: float, gamma: float) -> float:
-        return self.expected_loss + gamma * self.global_reg + tau * sum(self.local_regs.values())
+    def recomposed(self, tau: float) -> float:
+        return self.expected_loss + tau * sum(self.local_regs.values())
 
-    def check_identity(self, tau: float, gamma: float, tol: float = 1e-10) -> None:
-        gap = abs(self.total - self.recomposed(tau, gamma))
+    def check_identity(self, tau: float, tol: float = 1e-10) -> None:
+        gap = abs(self.total - self.recomposed(tau))
         if gap > tol:
             raise AssertionError(f"decomposition identity violated by {gap:.3e}")
 
@@ -77,9 +77,7 @@ def elbo_components(
         rng = substream(cfg.seed, DOMAIN_CLIENT, round_index, client.client_id)
         reg = 0.0
         for xb, yb, noise in iter_local_batches(client, cfg, params.arch, rng):
-            loss, parts = minibatch_loss(
-                params, xb, yb, cfg.tau, noise, training=True, rng=rng
-            )
+            loss, parts = minibatch_loss(params, xb, yb, cfg.tau, noise)
             total += loss.item()
             expected_loss += parts.nll
             reg += parts.kl / xb.shape[0]
@@ -260,7 +258,7 @@ def client_posterior_audit(
     y_query = y[fwd.support_size : batch]
     nll_sum = 0.0
     for b in beta_draws:
-        logits = fwd.logits_for(Tensor.const(b)).array
+        logits = fwd.logits_for(b)
         logp = _log_softmax(logits)
         nll_sum += float(-logp[np.arange(y_query.size), y_query].sum())
     return fwd, beta_draws, y_query.size, nll_sum / n_samples
@@ -301,7 +299,7 @@ def bound_holds_check(
     if trials == 0:
         return result
     arch = params.arch
-    prior = cfg.prior if cfg.prior is not None else standard_prior(arch.beta_dim, arch.prior_scale)
+    prior = cfg.prior if cfg.prior is not None else arch.prior
     eval_points = max(2, math.ceil(10_000 / task.cfg.c))
     holds = 0
     for _ in range(trials):
@@ -316,16 +314,14 @@ def bound_holds_check(
                 params, x, y, cfg.posterior_samples, rng
             )
             emp += gibbs_nll
-            kl_total += kl_diag(fwd.stats.q, prior).item()
+            kl_total += float(kl_diag(fwd.stats.q, prior))
 
             x_eval, p_eval = draw_client_inputs(task, k, eval_points, rng)
             rep = embed(params, x_eval)
             g_eval, l_eval = split_features(arch, rep)
             predictive = np.zeros((eval_points, task.cfg.num_classes))
             for b in beta_draws:
-                logits = predict_logits(
-                    params, Tensor.const(b), fwd.stats.b_beta, g_eval, l_eval
-                ).array
+                logits = predict_logits(params, b, fwd.stats.b_beta, g_eval, l_eval)
                 predictive += softmax_rows(logits)
             predictive /= beta_draws.shape[0]
             true += n_query * float(-(p_eval * np.log(predictive)).sum(axis=1).mean())

@@ -30,7 +30,7 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .distributions import kl_diag, standard_prior
+from .distributions import kl_diag
 from .federation import RunResult, evaluate, run_training
 from .model import ArchConfig, FedVIParams, ParamBlock
 from .nn import NonFiniteError
@@ -66,7 +66,6 @@ def save_params(params: FedVIParams, path) -> None:
             "mean_damp": arch.mean_damp,
             "logscale_damp": arch.logscale_damp,
             "scale_floor": arch.scale_floor,
-            "dropout_rate": arch.dropout_rate,
         },
         sort_keys=True,
     ).encode("utf-8")
@@ -107,6 +106,11 @@ def load_params(path) -> FedVIParams:
         raise ParamsFormatError(f"{path}: version {version}, expected {PARAMS_VERSION}")
     (arch_len,) = struct.unpack("<I", take(4))
     arch_dict = json.loads(take(arch_len).decode("utf-8"))
+    # Older headers carry "dropout_rate"; the model has no dropout, so only 0.0 loads.
+    if arch_dict.get("dropout_rate", 0.0) != 0.0:
+        raise ParamsFormatError(
+            f"{path}: dropout_rate {arch_dict['dropout_rate']} is no longer supported"
+        )
     arch = ArchConfig(
         input_dim=arch_dict["input_dim"],
         embed_widths=tuple(arch_dict["embed_widths"]),
@@ -118,7 +122,6 @@ def load_params(path) -> FedVIParams:
         mean_damp=arch_dict["mean_damp"],
         logscale_damp=arch_dict["logscale_damp"],
         scale_floor=arch_dict["scale_floor"],
-        dropout_rate=arch_dict["dropout_rate"],
     )
     (n_blocks,) = struct.unpack("<I", take(4))
     blocks = []
@@ -370,7 +373,7 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
         )
     rng = substream(cfg.seed, DOMAIN_BOUND)
 
-    prior = standard_prior(params.arch.beta_dim, params.arch.prior_scale)
+    prior = params.arch.prior
     emp = 0.0
     kl_total = 0.0
     for client in ds.clients:
@@ -378,7 +381,7 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
             params, client.x, client.y, cfg.pac.posterior_samples, rng
         )
         emp += gibbs
-        kl_total += kl_diag(fwd.stats.q, prior).item()
+        kl_total += float(kl_diag(fwd.stats.q, prior))
 
     slack_scaled = bounds_mod.estimate_slack(
         task,

@@ -63,7 +63,6 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("arch", "mean_damp"): ("float", 2.0),
     ("arch", "logscale_damp"): ("float", 2.0),
     ("arch", "scale_floor"): ("float", 1e-5),
-    ("arch", "dropout"): ("float", 0.0),
     ("train", "rounds"): ("int", 200),
     ("train", "cohort_size"): ("int", 8),
     ("train", "client_lr"): ("float", 0.05),
@@ -72,7 +71,6 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("train", "local_epochs"): ("int", 1),
     ("train", "batch_size"): ("int", 32),
     ("train", "tau"): ("float", 0.01),
-    ("train", "gamma"): ("float", 0.0),
     ("train", "algorithm"): ("str", "fedvi"),
     ("train", "eval_every"): ("int", 10),
     ("bound", "eta"): ("float", 1.0),
@@ -235,7 +233,6 @@ def build_config(
             mean_damp=get("arch", "mean_damp"),
             logscale_damp=get("arch", "logscale_damp"),
             scale_floor=get("arch", "scale_floor"),
-            dropout_rate=get("arch", "dropout"),
         )
         train = TrainConfig(
             rounds=get("train", "rounds"),
@@ -246,7 +243,6 @@ def build_config(
             local_epochs=get("train", "local_epochs"),
             batch_size=get("train", "batch_size"),
             tau=get("train", "tau"),
-            gamma=get("train", "gamma"),
             algorithm=get("train", "algorithm"),
             seed=seed,
             eval_every=get("train", "eval_every"),

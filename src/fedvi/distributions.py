@@ -1,8 +1,10 @@
 """Diagonal Gaussians: closed-form KL, reparameterized sampling, priors.
 
-Scales are standard deviations, not variances. ``mc_kl_estimate`` is the
-independent Monte-Carlo oracle for ``kl_diag`` and deliberately uses plain
-numpy log-densities instead of the graph ops.
+Scales are standard deviations, not variances. Everything works on plain
+float64 arrays; ``kl_diag_grad`` and ``sample_reparam_grad`` are the
+hand-derived gradients the model's reverse pass uses. ``mc_kl_estimate`` is
+the independent Monte-Carlo oracle for ``kl_diag`` and deliberately shares
+no code with it.
 """
 
 from __future__ import annotations
@@ -13,52 +15,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import Tensor
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Mean/scale vectors of an axis-aligned Gaussian.
+    """Mean/scale vectors of an axis-aligned Gaussian, checked finite and
+    (scale) strictly positive on construction."""
 
-    Both fields are graph tensors so that a posterior produced inside a
-    forward pass stays differentiable; wrap plain arrays with
-    :meth:`from_arrays` for non-graph uses.
-    """
-
-    mean: Tensor
-    scale: Tensor
+    mean: np.ndarray
+    scale: np.ndarray
 
     def __post_init__(self) -> None:
-        m, s = self.mean.array, self.scale.array
+        m, s = self.mean, self.scale
         if m.ndim != 1 or s.ndim != 1 or m.shape != s.shape:
             raise nn.ShapeMismatchError(
                 f"DiagGaussian mean {m.shape} and scale {s.shape} must be equal-length vectors"
             )
         nn.assert_all_finite(m, "DiagGaussian mean")
         nn.assert_all_finite(s, "DiagGaussian scale")
-        if np.any(s <= 0.0):
+        if (s <= 0.0).any():
             raise ValueError("DiagGaussian scale must be strictly positive")
 
     @staticmethod
     def from_arrays(mean, scale) -> "DiagGaussian":
-        return DiagGaussian(Tensor.const(mean), Tensor.const(scale))
+        return DiagGaussian(
+            np.asarray(mean, dtype=np.float64), np.asarray(scale, dtype=np.float64)
+        )
 
     @property
     def dim(self) -> int:
-        return self.mean.array.shape[0]
+        return self.mean.shape[0]
 
     def mean_array(self) -> np.ndarray:
-        return self.mean.array
+        return self.mean
 
     def scale_array(self) -> np.ndarray:
-        return self.scale.array
+        return self.scale
 
 
 def standard_prior(dim: int, scale: float) -> DiagGaussian:
-    """N(0, scale^2 I) as a constant (non-graph) distribution."""
-    return DiagGaussian.from_arrays(np.zeros(dim), np.full(dim, float(scale)))
+    """N(0, scale^2 I)."""
+    return DiagGaussian(np.zeros(dim), np.full(dim, float(scale)))
 
 
 def _check_dims(q: DiagGaussian, p: DiagGaussian) -> None:
@@ -66,25 +65,32 @@ def _check_dims(q: DiagGaussian, p: DiagGaussian) -> None:
         raise nn.ShapeMismatchError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
 
 
-def kl_diag(q: DiagGaussian, p: DiagGaussian) -> Tensor:
-    """Closed-form KL(q || p), differentiable through q.mean and q.scale.
+def kl_diag(q: DiagGaussian, p: DiagGaussian) -> np.float64:
+    """Closed-form KL(q || p).
 
     Per coordinate: log(sp/sq) + (sq^2 + (mq-mp)^2) / (2 sp^2) - 1/2.
     """
     _check_dims(q, p)
-    inv_two_var_p = 1.0 / (2.0 * p.scale.array**2)
-    log_sp = np.log(p.scale.array)
-    dmean = q.mean - p.mean.array
+    inv_two_var_p = 1.0 / (2.0 * p.scale**2)
+    dmean = q.mean - p.mean
     per_coord = (
-        (log_sp - nn.log(q.scale))
+        (np.log(p.scale) - np.log(q.scale))
         + (q.scale * q.scale + dmean * dmean) * inv_two_var_p
         - 0.5
     )
-    return nn.total(per_coord)
+    return per_coord.sum()
 
 
-def sample_reparam(q: DiagGaussian, noise) -> Tensor:
-    """mean + scale * noise; gradients flow through mean and scale.
+def kl_diag_grad(q: DiagGaussian, p: DiagGaussian) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of ``kl_diag(q, p)`` with respect to (q.mean, q.scale):
+    (mq - mp) / sp^2 and sq / sp^2 - 1 / sq."""
+    _check_dims(q, p)
+    inv_var_p = 1.0 / p.scale**2
+    return (q.mean - p.mean) * inv_var_p, q.scale * inv_var_p - 1.0 / q.scale
+
+
+def sample_reparam(q: DiagGaussian, noise) -> np.ndarray:
+    """mean + scale * noise.
 
     ``noise`` must be drawn externally from a standard normal so runs stay
     reproducible.
@@ -95,6 +101,11 @@ def sample_reparam(q: DiagGaussian, noise) -> Tensor:
             f"noise shape {eps.shape} does not match distribution dim {q.dim}"
         )
     return q.mean + q.scale * eps
+
+
+def sample_reparam_grad(noise: np.ndarray, upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pull ``upstream`` (the gradient at the sample) back to (mean, scale)."""
+    return upstream, upstream * noise
 
 
 def glorot_scale(fan_in: int, fan_out: int) -> float:
@@ -115,9 +126,10 @@ def mc_kl_estimate(
     """Monte-Carlo KL oracle: mean of log q(x) - log p(x) over n q-samples."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_dims(q, p)
-    mq, sq = q.mean_array(), q.scale_array()
-    mp, sp = p.mean_array(), p.scale_array()
+    if q.dim != p.dim:
+        raise nn.ShapeMismatchError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
+    mq, sq = q.mean, q.scale
+    mp, sp = p.mean, p.scale
     acc = 0.0
     chunk = 200_000
     done = 0

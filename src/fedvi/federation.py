@@ -25,9 +25,9 @@ from .datagen import ClientDataset, FederatedDataset
 from .model import (
     ArchConfig,
     FedVIParams,
-    LossParts,
     forward_batch,
     global_branch_logits,
+    global_branch_loss,
     init_params,
     minibatch_loss,
 )
@@ -48,7 +48,6 @@ class TrainConfig:
     tau: float
     seed: int
     eval_every: int
-    gamma: float = 0.0
     algorithm: str = "fedvi"
 
     def __post_init__(self) -> None:
@@ -60,8 +59,8 @@ class TrainConfig:
             raise ValueError("client_lr must be >= 0 and server_lr > 0")
         if not 0.0 <= self.server_momentum < 1.0:
             raise ValueError(f"server_momentum must be in [0,1), got {self.server_momentum}")
-        if self.tau < 0 or self.gamma < 0:
-            raise ValueError("tau and gamma must be >= 0")
+        if self.tau < 0:
+            raise ValueError("tau must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.algorithm not in ALGORITHMS:
@@ -163,6 +162,8 @@ def client_update(
     training example count as aggregation weight, and loss statistics.
     Returns None (skip signal) for clients with fewer than 2 training
     examples. The copy is discarded by the caller: clients are stateless.
+    A NonFiniteError raised in a step leaves with the client id and the
+    batch index added to its context.
     """
     if client.n_train < 2:
         return None
@@ -170,26 +171,26 @@ def client_update(
     initial = {b.name: b.value.array.copy() for b in params.all_blocks()}
     loss_sum = nll_sum = reg_sum = kl_raw = 0.0
     steps = 0
-    for xb, yb, noise in iter_local_batches(client, cfg, params.arch, rng):
-        if cfg.algorithm == "fedvi":
-            loss, parts = minibatch_loss(
-                params, xb, yb, cfg.tau, noise, training=True, rng=rng
-            )
-        else:
-            logits = global_branch_logits(params, xb, training=True, rng=rng)
-            loss = nn.softmax_nll(logits, yb)
-            parts = LossParts(nll=loss.item(), kl=0.0, kl_weight=0.0)
-        grads = nn.backward(loss)
-        if cfg.client_lr != 0.0:
-            for block in params.all_blocks():
-                g = grads.get(block.name)
-                if g is not None:
-                    block.value.array -= cfg.client_lr * g
-        loss_sum += loss.item()
-        nll_sum += parts.nll
-        reg_sum += parts.kl / xb.shape[0]
-        kl_raw += parts.kl
-        steps += 1
+    try:
+        for xb, yb, noise in iter_local_batches(client, cfg, params.arch, rng):
+            if cfg.algorithm == "fedvi":
+                loss, parts = minibatch_loss(params, xb, yb, cfg.tau, noise)
+            else:
+                loss, parts = global_branch_loss(params, xb, yb)
+            grads = nn.backward(loss)
+            if cfg.client_lr != 0.0:
+                for block in params.all_blocks():
+                    g = grads.get(block.name)
+                    if g is not None:
+                        block.value.array -= cfg.client_lr * g
+            loss_sum += loss.item()
+            nll_sum += parts.nll
+            reg_sum += parts.kl / xb.shape[0]
+            kl_raw += parts.kl
+            steps += 1
+    except nn.NonFiniteError as exc:
+        exc.add_context(client=client.client_id, batch=steps)
+        raise
     if steps == 0:
         return None
     delta = {
@@ -255,7 +256,7 @@ def evaluate(
     The personalized path batches each client's test set, rebuilds the
     posterior from the batch's own unlabeled support half, sets the local
     weights to the posterior mean, and counts accuracy on query halves
-    only. The non-personalized path scores the global branch on all test
+    only. Forward passes only: no graph node is built. The non-personalized path scores the global branch on all test
     examples. Clients with fewer than 2 test examples are excluded.
     """
     per_client: list[tuple[float, int]] = []
@@ -269,7 +270,7 @@ def evaluate(
         correct = 0
         seen = 0
         if cfg.algorithm == "fedavg":
-            logits = global_branch_logits(params, x_te).array
+            logits = global_branch_logits(params, x_te)
             correct = int((logits.argmax(axis=1) == y_te).sum())
             seen = n
         else:
@@ -279,7 +280,7 @@ def evaluate(
                 if xb.shape[0] < 2:
                     continue
                 fwd = forward_batch(params, xb)
-                logits = fwd.logits_for(fwd.stats.q.mean).array
+                logits = fwd.logits_for(fwd.stats.q.mean)
                 yq = yb[fwd.support_size :]
                 correct += int((logits.argmax(axis=1) == yq).sum())
                 seen += yq.size
@@ -303,19 +304,23 @@ def _round_updates(
         substream(cfg.seed, DOMAIN_CLIENT, round_index, client.client_id)
         for client in cohort_clients
     ]
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(
-                pool.map(
-                    lambda pair: client_update(state.params, pair[0], cfg, pair[1]),
-                    zip(cohort_clients, rngs),
+    try:
+        if parallel:
+            with ThreadPoolExecutor() as pool:
+                results = list(
+                    pool.map(
+                        lambda pair: client_update(state.params, pair[0], cfg, pair[1]),
+                        zip(cohort_clients, rngs),
+                    )
                 )
-            )
-    else:
-        results = [
-            client_update(state.params, client, cfg, rng)
-            for client, rng in zip(cohort_clients, rngs)
-        ]
+        else:
+            results = [
+                client_update(state.params, client, cfg, rng)
+                for client, rng in zip(cohort_clients, rngs)
+            ]
+    except nn.NonFiniteError as exc:
+        exc.add_context(round=round_index)
+        raise
     return [u for u in results if u is not None]
 
 

@@ -10,16 +10,31 @@ between the rebuilt posterior and its prior.
 
 The support half is label-free by construction: only query labels are ever
 read, which is what lets an unseen client personalize from unlabeled data.
+
+Every stage works on plain float64 arrays. ``minibatch_loss`` (and
+``global_branch_loss`` for the averaging baseline) returns the loss as one
+``nn.fused`` graph node over the parameter leaves; its reverse pass is
+derived by hand, stage by stage, from the activations the forward pass
+kept, so ``nn.backward(loss)`` yields every parameter's gradient.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .distributions import DiagGaussian, glorot_scale, kl_diag, sample_reparam, standard_prior
+from .distributions import (
+    DiagGaussian,
+    glorot_scale,
+    kl_diag,
+    kl_diag_grad,
+    sample_reparam,
+    sample_reparam_grad,
+    standard_prior,
+)
 from .nn import ParamBlock, Tensor
 
 POSTERIOR_HEAD_INIT_SHRINK = 100.0
@@ -39,7 +54,6 @@ class ArchConfig:
     mean_damp: float = 2.0
     logscale_damp: float = 2.0
     scale_floor: float = 1e-5
-    dropout_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.input_dim < 1 or self.num_classes < 2 or not self.embed_widths:
@@ -55,8 +69,6 @@ class ArchConfig:
             raise ValueError(f"support_fraction must be in (0,1), got {self.support_fraction}")
         if self.scale_floor <= 0.0:
             raise ValueError("scale_floor must be positive")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
 
     @property
     def rep_dim(self) -> int:
@@ -73,6 +85,11 @@ class ArchConfig:
     @property
     def prior_scale(self) -> float:
         return glorot_scale(self.local_dim, self.num_classes)
+
+    @functools.cached_property
+    def prior(self) -> DiagGaussian:
+        """N(0, prior_scale^2 I) over the local weights, built once per config."""
+        return standard_prior(self.beta_dim, self.prior_scale)
 
 
 @dataclass
@@ -142,36 +159,60 @@ def init_params(arch: ArchConfig, rng: np.random.Generator) -> FedVIParams:
 
 
 def _mlp_forward(
-    blocks: list[ParamBlock],
-    x: Tensor,
-    dropout_rate: float = 0.0,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+    blocks: list[ParamBlock], x: np.ndarray, acts: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Dense layers with ReLU between them (none after the last).
+
+    When ``acts`` is given, each layer's input is appended to it: all that
+    ``_mlp_backward`` needs, since a ReLU's output is positive exactly
+    where its input is.
+    """
     n_layers = len(blocks) // 2
     h = x
     for i in range(n_layers):
-        h = nn.dense_forward(h, blocks[2 * i].value, blocks[2 * i + 1].value)
+        if acts is not None:
+            acts.append(h)
+        h = h @ blocks[2 * i].value.array + blocks[2 * i + 1].value.array
         if i < n_layers - 1:
-            h = nn.relu(h)
-        if dropout_rate > 0.0 and training:
-            h = nn.dropout(h, dropout_rate, rng, training)
+            h = np.maximum(h, 0.0)
     return h
 
 
+def _mlp_backward(
+    blocks: list[ParamBlock],
+    acts: list[np.ndarray],
+    d_out: np.ndarray,
+    grads: dict[str, np.ndarray],
+    input_grad: bool = False,
+) -> np.ndarray | None:
+    """Reverse pass of ``_mlp_forward`` from d(loss)/d(output).
+
+    Writes each block's gradient into ``grads`` by name and returns
+    d(loss)/d(input) when ``input_grad`` is set.
+    """
+    d = d_out
+    for i in reversed(range(len(blocks) // 2)):
+        h = acts[i]
+        grads[blocks[2 * i].name] = h.T @ d
+        grads[blocks[2 * i + 1].name] = d.sum(axis=0)
+        if i == 0 and not input_grad:
+            return None
+        d = d @ blocks[2 * i].value.array.T
+        if i > 0:
+            d = d * (h > 0.0)
+    return d
+
+
 def embed(
-    params: FedVIParams,
-    x,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
+    params: FedVIParams, x, acts: list[np.ndarray] | None = None
+) -> np.ndarray:
     """Map raw inputs [B x input_dim] to representations [B x rep_dim]."""
-    xt = x if isinstance(x, Tensor) else Tensor.const(x)
-    if xt.array.ndim != 2 or xt.array.shape[1] != params.arch.input_dim:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
         raise nn.ShapeMismatchError(
-            f"embed expects [B x {params.arch.input_dim}], got {xt.array.shape}"
+            f"embed expects [B x {params.arch.input_dim}], got {x.shape}"
         )
-    return _mlp_forward(params.theta_embed, xt, params.arch.dropout_rate, training, rng)
+    return _mlp_forward(params.theta_embed, x, acts)
 
 
 def split_support_query(batch_size: int, support_fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -185,30 +226,40 @@ def split_support_query(batch_size: int, support_fraction: float) -> tuple[np.nd
     return idx[:support], idx[support:]
 
 
-def split_features(arch: ArchConfig, rep: Tensor) -> tuple[Tensor, Tensor]:
+def split_features(arch: ArchConfig, rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns [0, G) are global features, [G, G+L) local features."""
-    if rep.array.shape[-1] != arch.rep_dim:
+    if rep.shape[-1] != arch.rep_dim:
         raise nn.ShapeMismatchError(
-            f"representation width {rep.array.shape[-1]} != {arch.rep_dim}"
+            f"representation width {rep.shape[-1]} != {arch.rep_dim}"
         )
-    return nn.narrow(rep, 0, arch.global_dim), nn.narrow(rep, arch.global_dim, arch.rep_dim)
+    return rep[..., : arch.global_dim], rep[..., arch.global_dim : arch.rep_dim]
 
 
 @dataclass
 class PosteriorStats:
-    """Rebuilt local posterior plus the per-class logit bias it carries."""
+    """Rebuilt local posterior plus the per-class logit bias it carries.
+
+    ``scale_exp`` is exp(logscale_damp * log-scale output), so that
+    sigma = scale_floor + prior_scale * scale_exp; the reverse pass needs it.
+    """
 
     q: DiagGaussian
-    b_beta: Tensor
+    b_beta: np.ndarray
+    scale_exp: np.ndarray
 
 
-def construct_posterior(params: FedVIParams, support_global: Tensor) -> PosteriorStats:
+def construct_posterior(
+    params: FedVIParams,
+    support_global: np.ndarray,
+    acts: list[np.ndarray] | None = None,
+) -> PosteriorStats:
     """Aggregate support rows into a diagonal Gaussian over local weights.
 
     g = row-mean of the constructor MLP output; the first L*K entries times
     mean_damp give the mean, the next L*K times logscale_damp the log-scale
     perturbation around the prior scale, the last K the logit bias. The
-    scale never drops below scale_floor.
+    scale never drops below scale_floor. ``acts`` collects the constructor
+    MLP's layer inputs, as in ``_mlp_forward``.
 
     The posterior starts at the prior because init_params shrinks the
     constructor's output layer by POSTERIOR_HEAD_INIT_SHRINK, not because of
@@ -217,49 +268,69 @@ def construct_posterior(params: FedVIParams, support_global: Tensor) -> Posterio
     its square); both default to 2.
     """
     arch = params.arch
-    if support_global.array.ndim != 2 or support_global.array.shape[0] < 1:
+    if support_global.ndim != 2 or support_global.shape[0] < 1:
         raise nn.ShapeMismatchError(
             f"support features must be [S x {arch.global_dim}] with S >= 1, "
-            f"got {support_global.array.shape}"
+            f"got {support_global.shape}"
         )
-    out = _mlp_forward(params.theta_post, support_global)
-    g = nn.mean_rows(out)
+    g = _mlp_forward(params.theta_post, support_global, acts).mean(axis=0)
     m = arch.beta_dim
-    mu = arch.mean_damp * nn.narrow(g, 0, m)
-    sigma = arch.scale_floor + arch.prior_scale * nn.exp(
-        arch.logscale_damp * nn.narrow(g, m, 2 * m)
-    )
-    b_beta = nn.narrow(g, 2 * m, 2 * m + arch.num_classes)
-    return PosteriorStats(q=DiagGaussian(mu, sigma), b_beta=b_beta)
+    mu = arch.mean_damp * g[:m]
+    scale_exp = np.exp(arch.logscale_damp * g[m : 2 * m])
+    sigma = arch.scale_floor + arch.prior_scale * scale_exp
+    b_beta = g[2 * m : 2 * m + arch.num_classes]
+    return PosteriorStats(q=DiagGaussian(mu, sigma), b_beta=b_beta, scale_exp=scale_exp)
+
+
+def _posterior_backward(
+    params: FedVIParams,
+    stats: PosteriorStats,
+    acts: list[np.ndarray],
+    d_mean: np.ndarray,
+    d_scale: np.ndarray,
+    d_bias: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Reverse pass of ``construct_posterior`` from d(loss)/d(mu, sigma,
+    b_beta); fills the constructor's gradients, returns d/d(support_global)."""
+    arch = params.arch
+    m = arch.beta_dim
+    d_g = np.empty(arch.posterior_out_dim)
+    d_g[:m] = d_mean * arch.mean_damp
+    d_g[m : 2 * m] = d_scale * arch.prior_scale * stats.scale_exp * arch.logscale_damp
+    d_g[2 * m :] = d_bias
+    rows = acts[0].shape[0]
+    d_out = np.repeat((d_g / rows)[None, :], rows, axis=0)
+    return _mlp_backward(params.theta_post, acts, d_out, grads, input_grad=True)
 
 
 def predict_logits(
     params: FedVIParams,
-    beta: Tensor,
-    b_beta: Tensor,
-    query_global: Tensor,
-    query_local: Tensor,
-) -> Tensor:
+    beta: np.ndarray,
+    b_beta: np.ndarray,
+    query_global: np.ndarray,
+    query_local: np.ndarray,
+) -> np.ndarray:
     """Local branch reshape(beta, [K, L]) . local + global classifier + biases."""
     arch = params.arch
-    if beta.array.shape != (arch.beta_dim,):
+    if beta.shape != (arch.beta_dim,):
         raise nn.ShapeMismatchError(
-            f"beta must be a vector of length {arch.beta_dim}, got {beta.array.shape}"
+            f"beta must be a vector of length {arch.beta_dim}, got {beta.shape}"
         )
-    weights = nn.reshape(beta, (arch.num_classes, arch.local_dim))
-    local_logits = nn.matmul(query_local, nn.transpose(weights))
-    global_logits = nn.dense_forward(
-        query_global, params.theta_cls[0].value, params.theta_cls[1].value
-    )
-    return local_logits + global_logits + b_beta
+    weights = beta.reshape(arch.num_classes, arch.local_dim)
+    return query_local @ weights.T + _mlp_forward(params.theta_cls, query_global) + b_beta
 
 
-def global_branch_logits(params: FedVIParams, x, training: bool = False,
-                         rng: np.random.Generator | None = None) -> Tensor:
-    """Global classifier on global features only (the non-personalized path)."""
-    rep = embed(params, x, training, rng)
-    feats_global, _ = split_features(params.arch, rep)
-    return nn.dense_forward(feats_global, params.theta_cls[0].value, params.theta_cls[1].value)
+def global_branch_logits(
+    params: FedVIParams, x, acts: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Global classifier on global features only (the non-personalized path).
+
+    ``acts`` collects the layer inputs of the embedding and then of the
+    classifier, as in ``_mlp_forward``.
+    """
+    feats_global, _ = split_features(params.arch, embed(params, x, acts))
+    return _mlp_forward(params.theta_cls, feats_global, acts)
 
 
 @dataclass
@@ -275,37 +346,35 @@ class LossParts:
 
 @dataclass
 class BatchForward:
-    """Reusable pieces of one personalized forward pass."""
+    """Reusable pieces of one personalized forward pass, plus the layer
+    inputs of both MLPs that the reverse pass reads."""
 
     params: FedVIParams
     stats: PosteriorStats
-    query_global: Tensor
-    query_local: Tensor
+    query_global: np.ndarray
+    query_local: np.ndarray
     support_size: int
+    embed_acts: list[np.ndarray]
+    post_acts: list[np.ndarray]
 
-    def logits_for(self, beta: Tensor) -> Tensor:
+    def logits_for(self, beta: np.ndarray) -> np.ndarray:
         return predict_logits(
             self.params, beta, self.stats.b_beta, self.query_global, self.query_local
         )
 
 
-def forward_batch(
-    params: FedVIParams,
-    x,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> BatchForward:
+def forward_batch(params: FedVIParams, x) -> BatchForward:
     """Embed, split support/query and features, rebuild the posterior."""
-    xt = x if isinstance(x, Tensor) else Tensor.const(x)
-    batch = xt.array.shape[0]
-    support_idx, query_idx = split_support_query(batch, params.arch.support_fraction)
-    rep = embed(params, xt, training, rng)
-    rep_support = nn.row_slice(rep, 0, support_idx.size)
-    rep_query = nn.row_slice(rep, support_idx.size, batch)
-    support_global, _ = split_features(params.arch, rep_support)
-    query_global, query_local = split_features(params.arch, rep_query)
-    stats = construct_posterior(params, support_global)
-    return BatchForward(params, stats, query_global, query_local, support_idx.size)
+    x = np.asarray(x, dtype=np.float64)
+    support, _ = split_support_query(x.shape[0], params.arch.support_fraction)
+    s = support.size
+    embed_acts: list[np.ndarray] = []
+    post_acts: list[np.ndarray] = []
+    rep = embed(params, x, embed_acts)
+    support_global, _ = split_features(params.arch, rep[:s])
+    query_global, query_local = split_features(params.arch, rep[s:])
+    stats = construct_posterior(params, support_global, post_acts)
+    return BatchForward(params, stats, query_global, query_local, s, embed_acts, post_acts)
 
 
 def minibatch_loss(
@@ -314,8 +383,6 @@ def minibatch_loss(
     y: np.ndarray,
     tau: float,
     noise: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, LossParts]:
     """Query NLL plus (tau / batch) * KL(q, prior), with the parts reported.
 
@@ -327,14 +394,66 @@ def minibatch_loss(
         raise ValueError(f"tau must be >= 0, got {tau}")
     arch = params.arch
     batch = np.asarray(x).shape[0]
-    fwd = forward_batch(params, x, training, rng)
-    beta = sample_reparam(fwd.stats.q, noise)
-    logits = fwd.logits_for(beta)
-    y = np.asarray(y)
-    nll = nn.softmax_nll(logits, y[fwd.support_size :])
-    prior = standard_prior(arch.beta_dim, arch.prior_scale)
-    kl = kl_diag(fwd.stats.q, prior)
+    fwd = forward_batch(params, x)
+    q = fwd.stats.q
+    beta = sample_reparam(q, noise)
+    nll, d_logits = nn.softmax_nll(fwd.logits_for(beta), np.asarray(y)[fwd.support_size :])
+    prior = arch.prior
+    kl = kl_diag(q, prior)
     weight = tau / batch
-    loss = nll if weight == 0.0 else nll + weight * kl
-    loss.assert_finite("minibatch loss")
-    return loss, LossParts(nll=nll.item(), kl=kl.item(), kl_weight=weight)
+    value = nll if weight == 0.0 else nll + weight * kl
+    nn.assert_all_finite(value, "minibatch loss")
+    blocks = params.all_blocks()
+
+    def grads(g: np.ndarray) -> list[np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        d_logits_g = g * d_logits
+        # two-branch logits: q_local @ reshape(beta).T + cls(q_global) + b_beta
+        d_query_global = _mlp_backward(
+            params.theta_cls, [fwd.query_global], d_logits_g, out, input_grad=True
+        )
+        weights = beta.reshape(arch.num_classes, arch.local_dim)
+        d_beta = (fwd.query_local.T @ d_logits_g).T.ravel()
+        d_query_local = d_logits_g @ weights
+        d_mean, d_scale = sample_reparam_grad(noise, d_beta)
+        if weight != 0.0:
+            kl_mean, kl_scale = kl_diag_grad(q, prior)
+            d_mean = d_mean + (g * weight) * kl_mean
+            d_scale = d_scale + (g * weight) * kl_scale
+        d_support_global = _posterior_backward(
+            params, fwd.stats, fwd.post_acts, d_mean, d_scale,
+            d_logits_g.sum(axis=0), out,
+        )
+        s, g_dim = fwd.support_size, arch.global_dim
+        d_rep = np.zeros((batch, arch.rep_dim))
+        d_rep[:s, :g_dim] = d_support_global
+        d_rep[s:, :g_dim] = d_query_global
+        d_rep[s:, g_dim:] = d_query_local
+        _mlp_backward(params.theta_embed, fwd.embed_acts, d_rep, out)
+        return [out[b.name] for b in blocks]
+
+    loss = nn.fused(value, [b.value for b in blocks], grads)
+    return loss, LossParts(nll=float(nll), kl=float(kl), kl_weight=weight)
+
+
+def global_branch_loss(params: FedVIParams, x, y: np.ndarray) -> tuple[Tensor, LossParts]:
+    """Summed NLL of the global branch on the whole batch (fedavg's loss).
+
+    One fused node over the embedding and classifier leaves; the
+    constructor gets no gradient.
+    """
+    acts: list[np.ndarray] = []
+    nll, d_logits = nn.softmax_nll(global_branch_logits(params, x, acts), y)
+    nn.assert_all_finite(nll, "minibatch loss")
+    blocks = [*params.theta_embed, *params.theta_cls]
+
+    def grads(g: np.ndarray) -> list[np.ndarray]:
+        out: dict[str, np.ndarray] = {}
+        d_global = _mlp_backward(params.theta_cls, acts[-1:], g * d_logits, out, input_grad=True)
+        d_rep = np.zeros((d_logits.shape[0], params.arch.rep_dim))
+        d_rep[:, : params.arch.global_dim] = d_global
+        _mlp_backward(params.theta_embed, acts[:-1], d_rep, out)
+        return [out[b.name] for b in blocks]
+
+    loss = nn.fused(nll, [b.value for b in blocks], grads)
+    return loss, LossParts(nll=float(nll), kl=0.0, kl_weight=0.0)

@@ -1,16 +1,22 @@
-"""Dense neural-network substrate with reverse-mode differentiation.
+"""Dense substrate: float64 parameter blocks and the reverse-pass entry point.
 
-Everything is 64-bit float. A ``Tensor`` is a node in a define-by-run graph:
-ops build the graph as they compute, and :func:`backward` replays it in
-reverse to produce exact gradients for every :class:`ParamBlock` reachable
-from a scalar loss. Graphs are rebuilt per minibatch; nothing is cached.
+A ``Tensor`` is a node in a graph that :func:`backward` replays in reverse
+to produce exact gradients for every :class:`ParamBlock` reachable from a
+scalar loss. The model builds that graph as one :func:`fused` node per
+minibatch: its value is computed on plain arrays and its reverse pass is
+hand-derived, so the graph is the loss plus the parameter leaves.
+:func:`softmax_nll` works on arrays and returns its gradient alongside.
 
-``finite_diff_grad`` is the independent test oracle for the whole module and
+The one-node-per-op graph ops (``add`` ... ``dropout``) remain for code
+that still names them; the model does not use them.
+
+``finite_diff_grad`` is the independent test oracle for every gradient and
 must never share code with the reverse-mode path.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,11 +27,28 @@ class ShapeMismatchError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A published value contains NaN or Inf."""
+    """A published value contains NaN or Inf.
+
+    ``context`` says where, outermost first (round, client, batch); callers
+    add their part with :meth:`add_context` as the error passes up.
+    """
+
+    def __init__(self, what: str) -> None:
+        super().__init__(what)
+        self.what = what
+        self.context: dict[str, object] = {}
+
+    def add_context(self, **where) -> "NonFiniteError":
+        self.context = {**where, **self.context}
+        return self
+
+    def __str__(self) -> str:
+        where = ", ".join(f"{key} {value}" for key, value in self.context.items())
+        return f"{where}: {self.what}" if where else self.what
 
 
 def assert_all_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains non-finite entries")
 
 
@@ -38,6 +61,10 @@ class Tensor:
 
     ``parents`` and ``_push`` are empty for leaves. ``_push(grad, sink)``
     propagates an upstream gradient to the parents through ``sink``.
+    ``param`` is a weak reference to the ParamBlock a leaf belongs to: weak,
+    so that a block and its leaf form no reference cycle and a discarded
+    copy of the parameters is freed at once, not at the next cyclic
+    garbage collection.
     """
 
     __slots__ = ("array", "parents", "_push", "requires_grad", "param")
@@ -51,7 +78,7 @@ class Tensor:
         parents: tuple["Tensor", ...] = (),
         push: Callable | None = None,
         requires_grad: bool = False,
-        param: "ParamBlock | None" = None,
+        param: "weakref.ref[ParamBlock] | None" = None,
     ):
         self.array = array
         self.parents = parents
@@ -121,14 +148,13 @@ class ParamBlock:
     the same loss yields identical results.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "grad", "__weakref__")
 
     def __init__(self, name: str, value) -> None:
         arr = _as_array(value).copy()
         assert_all_finite(arr, f"parameter {name!r}")
         self.name = name
-        self.value = Tensor(arr, requires_grad=True)
-        self.value.param = self
+        self.value = Tensor(arr, requires_grad=True, param=weakref.ref(self))
         self.grad = Tensor(np.zeros_like(arr))
 
     @property
@@ -332,12 +358,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _node(out, (a,), push)
 
 
-def softmax_nll(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Summed negative log-likelihood of integer labels under row softmax.
+def softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, np.ndarray]:
+    """Summed negative log-likelihood of integer labels under row softmax,
+    and its gradient with respect to the logits (softmax minus one-hot).
 
     Uses the log-sum-exp shift, so arbitrarily large logits stay stable.
     """
-    z = logits.array
+    z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2:
         raise ShapeMismatchError(f"softmax_nll expects [B×K] logits, got {z.shape}")
     y = np.asarray(labels)
@@ -347,19 +374,31 @@ def softmax_nll(logits: Tensor, labels: np.ndarray) -> Tensor:
         )
     if y.size and (y.min() < 0 or y.max() >= z.shape[1]):
         raise IndexError(f"label out of range [0, {z.shape[1]})")
-    y = y.astype(np.intp)
+    y = y.astype(np.intp, copy=False)
     shift = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shift).sum(axis=1))
+    e = np.exp(shift)
+    norm = e.sum(axis=1)
     rows = np.arange(z.shape[0])
-    out = np.asarray((lse - shift[rows, y]).sum())
+    nll = (np.log(norm) - shift[rows, y]).sum()
+    grad = e / norm[:, None]
+    grad[rows, y] -= 1.0
+    return nll, grad
+
+
+def fused(
+    value,
+    parents: Sequence[Tensor],
+    grads: Callable[[np.ndarray], Sequence[np.ndarray]],
+) -> Tensor:
+    """One graph node for a function of ``parents`` with a hand-derived
+    reverse pass: ``grads(g)`` maps the upstream gradient ``g`` to one
+    gradient per parent, in order."""
 
     def push(g, sink):
-        p = np.exp(shift)
-        p /= p.sum(axis=1, keepdims=True)
-        p[rows, y] -= 1.0
-        sink(logits, g * p)
+        for parent, grad in zip(parents, grads(g)):
+            sink(parent, grad)
 
-    return _node(out, (logits,), push)
+    return _node(np.asarray(value, dtype=np.float64), tuple(parents), push)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -409,8 +448,9 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
         if g is None:
             continue
         if node.param is not None:
-            node.param.grad.array[...] = g
-            out[node.param.name] = node.param.grad.array
+            block = node.param()
+            block.grad.array[...] = g
+            out[block.name] = block.grad.array
         if node._push is not None:
             node._push(g, sink)
     return out

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -148,6 +150,35 @@ class TestParamsFile:
         blob[4] = 42  # version word follows the 4-byte magic
         path.write_bytes(bytes(blob))
         with pytest.raises(cli.ParamsFormatError, match="version"):
+            load_params(path)
+
+    @staticmethod
+    def _with_dropout_header(path, rate):
+        """Rewrite the arch header as files written before dropout's removal
+        carried it."""
+        blob = path.read_bytes()
+        (arch_len,) = struct.unpack("<I", blob[8:12])
+        arch = json.loads(blob[12 : 12 + arch_len])
+        arch["dropout_rate"] = rate
+        text = json.dumps(arch, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + arch_len :])
+
+    def test_old_header_with_zero_dropout_loads(self, tmp_path, rng):
+        params = init_params(small_arch(), rng)
+        path = tmp_path / "p.bin"
+        save_params(params, path)
+        assert b"dropout_rate" not in path.read_bytes()
+        self._with_dropout_header(path, 0.0)
+        loaded = load_params(path)
+        assert loaded.arch == params.arch
+        for a, b in zip(params.all_blocks(), loaded.all_blocks()):
+            assert np.array_equal(a.value.array, b.value.array)
+
+    def test_old_header_with_nonzero_dropout_rejected(self, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        save_params(init_params(small_arch(), rng), path)
+        self._with_dropout_header(path, 0.25)
+        with pytest.raises(cli.ParamsFormatError, match="dropout_rate"):
             load_params(path)
 
     def test_bad_magic_detected(self, tmp_path):
@@ -314,11 +345,13 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg), "--out", out]) == cli.EXIT_IO
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_numeric_failure(self, tmp_path):
+    def test_numeric_failure(self, tmp_path, capsys):
         text = SMALL_RUN.replace("client_lr = 0.01", "client_lr = 50000.0")
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "run")
         assert main(["train", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"numeric failure: round \d+, client \d+, batch \d+: ", err), err
 
     def test_missing_params_file(self, tmp_path):
         cfg = write_cfg(tmp_path)

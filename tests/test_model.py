@@ -7,18 +7,21 @@ from fedvi import nn
 from fedvi.distributions import glorot_scale
 from fedvi.model import (
     ArchConfig,
+    _posterior_backward,
     construct_posterior,
     embed,
     forward_batch,
     global_branch_logits,
+    global_branch_loss,
     init_params,
     minibatch_loss,
     predict_logits,
     split_features,
     split_support_query,
 )
-from fedvi.nn import Tensor
 from fedvi.seeding import substream
+
+from fedvi.nn import ParamBlock
 
 from conftest import max_rel_err, small_arch
 
@@ -36,7 +39,7 @@ class TestEmbed:
         for block in params.theta_embed:
             block.value.array[...] = 0.0
         out = embed(params, rng.standard_normal((4, 5)))
-        assert np.array_equal(out.array, np.zeros((4, 6)))
+        assert np.array_equal(out, np.zeros((4, 6)))
 
     def test_identity_single_layer(self, rng):
         arch = small_arch(input_dim=6, embed_widths=(6,), local_dim=2, global_dim=4)
@@ -44,23 +47,15 @@ class TestEmbed:
         params.theta_embed[0].value.array[...] = np.eye(6)
         params.theta_embed[1].value.array[...] = 0.0
         x = rng.standard_normal((3, 6))
-        assert np.array_equal(embed(params, x).array, x)
+        assert np.array_equal(embed(params, x), x)
 
     def test_matches_manual_composition(self, rng):
         arch = small_arch()
         params = init_params(arch, rng)
         x = rng.standard_normal((4, 5))
-        out = embed(params, x).array
-        h = nn.relu(
-            nn.dense_forward(
-                Tensor.const(x),
-                params.theta_embed[0].value,
-                params.theta_embed[1].value,
-            )
-        )
-        manual = nn.dense_forward(
-            h, params.theta_embed[2].value, params.theta_embed[3].value
-        ).array
+        out = embed(params, x)
+        w0, b0, w1, b1 = (b.value.array for b in params.theta_embed)
+        manual = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
         assert np.max(np.abs(out - manual)) < 1e-12
 
     def test_wrong_input_width(self, tiny_params, rng):
@@ -91,33 +86,33 @@ class TestSplits:
             input_dim=4, embed_widths=(128,), local_dim=26, global_dim=102,
             num_classes=3,
         )
-        rep = Tensor.const(rng.standard_normal((5, 128)))
+        rep = rng.standard_normal((5, 128))
         feats_global, feats_local = split_features(arch, rep)
-        assert np.array_equal(feats_global.array, rep.array[:, :102])
-        assert np.array_equal(feats_local.array, rep.array[:, 102:])
-        recombined = np.concatenate([feats_global.array, feats_local.array], axis=1)
-        assert np.array_equal(recombined, rep.array)
+        assert np.array_equal(feats_global, rep[:, :102])
+        assert np.array_equal(feats_local, rep[:, 102:])
+        recombined = np.concatenate([feats_global, feats_local], axis=1)
+        assert np.array_equal(recombined, rep)
 
     def test_two_feature_minimum(self, rng):
         arch = ArchConfig(
             input_dim=4, embed_widths=(2,), local_dim=1, global_dim=1, num_classes=2
         )
-        rep = Tensor.const(rng.standard_normal((3, 2)))
+        rep = rng.standard_normal((3, 2))
         feats_global, feats_local = split_features(arch, rep)
-        assert np.array_equal(feats_global.array, rep.array[:, :1])
-        assert np.array_equal(feats_local.array, rep.array[:, 1:])
+        assert np.array_equal(feats_global, rep[:, :1])
+        assert np.array_equal(feats_local, rep[:, 1:])
 
 
 class TestConstructPosterior:
     def test_zero_constructor_sits_at_prior(self, rng):
         arch = small_arch()
         params = zero_params(arch)
-        support = Tensor.const(rng.standard_normal((6, arch.global_dim)))
+        support = rng.standard_normal((6, arch.global_dim))
         stats = construct_posterior(params, support)
         sigma0 = glorot_scale(arch.local_dim, arch.num_classes)
         assert np.array_equal(stats.q.mean_array(), np.zeros(arch.beta_dim))
         assert np.allclose(stats.q.scale_array(), arch.scale_floor + sigma0, atol=0)
-        assert np.array_equal(stats.b_beta.array, np.zeros(arch.num_classes))
+        assert np.array_equal(stats.b_beta, np.zeros(arch.num_classes))
 
     def test_random_init_stays_near_prior(self):
         arch = small_arch()
@@ -126,7 +121,7 @@ class TestConstructPosterior:
         for trial in range(30):
             r = substream(31337, trial)
             params = init_params(arch, r)
-            support = Tensor.const(r.standard_normal((8, arch.global_dim)))
+            support = r.standard_normal((8, arch.global_dim))
             stats = construct_posterior(params, support)
             worst_mu = max(worst_mu, np.abs(stats.q.mean_array()).max())
             worst_sigma = max(
@@ -139,47 +134,66 @@ class TestConstructPosterior:
         arch = tiny_params.arch
         rows = rng.standard_normal((2, arch.global_dim))
         doubled = np.vstack([rows, rows])
-        a = construct_posterior(tiny_params, Tensor.const(rows))
-        b = construct_posterior(tiny_params, Tensor.const(doubled))
+        a = construct_posterior(tiny_params, rows)
+        b = construct_posterior(tiny_params, doubled)
         # row means of duplicated rows agree up to summation order (~1 ulp)
         assert np.allclose(a.q.mean_array(), b.q.mean_array(), rtol=1e-14, atol=1e-16)
         assert np.allclose(a.q.scale_array(), b.q.scale_array(), rtol=1e-14, atol=0)
-        assert np.allclose(a.b_beta.array, b.b_beta.array, rtol=1e-14, atol=1e-16)
+        assert np.allclose(a.b_beta, b.b_beta, rtol=1e-14, atol=1e-16)
 
     def test_scale_floor_is_respected(self, rng):
         arch = small_arch(scale_floor=1e-3)
         params = init_params(arch, rng)
         # drive the log-scale head hard negative
         params.theta_post[-1].value.array[...] = -50.0
-        support = Tensor.const(rng.standard_normal((4, arch.global_dim)))
+        support = rng.standard_normal((4, arch.global_dim))
         stats = construct_posterior(params, support)
         assert np.all(stats.q.scale_array() >= arch.scale_floor)
 
-    def test_gradients_reach_the_constructor(self, tiny_params, rng):
-        support = Tensor.const(rng.standard_normal((4, tiny_params.arch.global_dim)))
-        stats = construct_posterior(tiny_params, support)
-        loss = nn.total(stats.q.mean) + nn.total(stats.q.scale) + nn.total(stats.b_beta)
-        grads = nn.backward(loss)
-        assert any(name.startswith("post.") for name in grads)
+    def test_gradients_reach_the_constructor(self, rng):
+        # loss = sum(mu) + sum(sigma) + sum(b_beta), pulled back by hand
+        arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
+        params = init_params(arch, rng)
+        for block in params.theta_post:
+            block.value.array[...] = rng.uniform(-0.5, 0.5, block.shape)
+        support = ParamBlock("support", rng.standard_normal((4, arch.global_dim)))
+
+        def total():
+            stats = construct_posterior(params, support.value.array)
+            return float(stats.q.mean.sum() + stats.q.scale.sum() + stats.b_beta.sum())
+
+        acts: list[np.ndarray] = []
+        stats = construct_posterior(params, support.value.array, acts)
+        grads: dict[str, np.ndarray] = {}
+        d_support = _posterior_backward(
+            params, stats, acts, np.ones(arch.beta_dim), np.ones(arch.beta_dim),
+            np.ones(arch.num_classes), grads,
+        )
+        assert sorted(grads) == sorted(b.name for b in params.theta_post)
+        fd = nn.finite_diff_grad(total, [*params.theta_post, support], eps=1e-6)
+        for block in params.theta_post:
+            err = max_rel_err(fd[block.name], grads[block.name])
+            assert err < 1e-6, f"{block.name}: rel err {err}"
+        assert max_rel_err(fd["support"], d_support) < 1e-6
 
 
 class TestPredictLogits:
     def test_zero_local_branch_reduces_to_global(self, tiny_params, rng):
         arch = tiny_params.arch
-        q_global = Tensor.const(rng.standard_normal((4, arch.global_dim)))
-        q_local = Tensor.const(rng.standard_normal((4, arch.local_dim)))
+        q_global = rng.standard_normal((4, arch.global_dim))
+        q_local = rng.standard_normal((4, arch.local_dim))
         logits = predict_logits(
             tiny_params,
-            Tensor.const(np.zeros(arch.beta_dim)),
-            Tensor.const(np.zeros(arch.num_classes)),
+            np.zeros(arch.beta_dim),
+            np.zeros(arch.num_classes),
             q_global,
             q_local,
         )
         expected = (
-            q_global.array @ tiny_params.theta_cls[0].value.array
+            q_global @ tiny_params.theta_cls[0].value.array
             + tiny_params.theta_cls[1].value.array
         )
-        assert np.max(np.abs(logits.array - expected)) < 1e-15
+        assert np.max(np.abs(logits - expected)) < 1e-15
 
     def test_zero_global_branch_reduces_to_local(self, rng):
         arch = small_arch()
@@ -190,14 +204,10 @@ class TestPredictLogits:
         b_beta = rng.standard_normal(arch.num_classes)
         q_local = rng.standard_normal((3, arch.local_dim))
         logits = predict_logits(
-            params,
-            Tensor.const(beta),
-            Tensor.const(b_beta),
-            Tensor.const(np.zeros((3, arch.global_dim))),
-            Tensor.const(q_local),
+            params, beta, b_beta, np.zeros((3, arch.global_dim)), q_local
         )
         expected = q_local @ beta.reshape(arch.num_classes, arch.local_dim).T + b_beta
-        assert np.max(np.abs(logits.array - expected)) < 1e-15
+        assert np.max(np.abs(logits - expected)) < 1e-15
 
     def test_matches_naive_loop_oracle(self, tiny_params, rng):
         arch = tiny_params.arch
@@ -205,13 +215,7 @@ class TestPredictLogits:
         b_beta = rng.standard_normal(arch.num_classes)
         q_global = rng.standard_normal((3, arch.global_dim))
         q_local = rng.standard_normal((3, arch.local_dim))
-        logits = predict_logits(
-            tiny_params,
-            Tensor.const(beta),
-            Tensor.const(b_beta),
-            Tensor.const(q_global),
-            Tensor.const(q_local),
-        ).array
+        logits = predict_logits(tiny_params, beta, b_beta, q_global, q_local)
         w_cls = tiny_params.theta_cls[0].value.array
         b_cls = tiny_params.theta_cls[1].value.array
         local_mat = beta.reshape(arch.num_classes, arch.local_dim)
@@ -229,10 +233,10 @@ class TestPredictLogits:
         with pytest.raises(nn.ShapeMismatchError):
             predict_logits(
                 tiny_params,
-                Tensor.const(np.zeros(arch.beta_dim + 1)),
-                Tensor.const(np.zeros(arch.num_classes)),
-                Tensor.const(rng.standard_normal((2, arch.global_dim))),
-                Tensor.const(rng.standard_normal((2, arch.local_dim))),
+                np.zeros(arch.beta_dim + 1),
+                np.zeros(arch.num_classes),
+                rng.standard_normal((2, arch.global_dim)),
+                rng.standard_normal((2, arch.local_dim)),
             )
 
 
@@ -315,7 +319,7 @@ class TestMinibatchLoss:
         b = forward_batch(tiny_params, x2).stats
         assert np.max(np.abs(a.q.mean_array() - b.q.mean_array())) < 1e-12
         assert np.max(np.abs(a.q.scale_array() - b.q.scale_array())) < 1e-12
-        assert np.max(np.abs(a.b_beta.array - b.b_beta.array)) < 1e-12
+        assert np.max(np.abs(a.b_beta - b.b_beta)) < 1e-12
 
     def test_frozen_noise_is_deterministic(self, tiny_params, rng):
         x, y, noise = batch_for(tiny_params.arch, rng)
@@ -329,6 +333,79 @@ class TestMinibatchLoss:
             minibatch_loss(tiny_params, x, y, -0.1, noise)
 
 
+def randomized_params(arch: ArchConfig, rng):
+    # O(1) parameters keep every gradient coordinate well above
+    # finite-difference roundoff
+    params = init_params(arch, rng)
+    for block in params.all_blocks():
+        block.value.array[...] = rng.uniform(-0.5, 0.5, block.shape)
+    return params
+
+
+def fd_errors(params, build) -> tuple[dict, dict[str, float]]:
+    """The fused loss's gradients and their rel errors against finite differences."""
+    grads = {k: g.copy() for k, g in nn.backward(build()).items()}
+    fd = nn.finite_diff_grad(lambda: build().item(), params.all_blocks(), eps=1e-5)
+    errs = {
+        name: max_rel_err(fd[name], g) for name, g in grads.items()
+    }
+    return grads, errs
+
+
+class TestHandDerivedBackwardEdges:
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_one_row_support_half(self, batch):
+        rng = substream(2025, batch)
+        arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
+        params = randomized_params(arch, rng)
+        x, y, noise = batch_for(arch, rng, batch=batch)
+        assert split_support_query(batch, arch.support_fraction)[0].size == 1
+        grads, errs = fd_errors(params, lambda: minibatch_loss(params, x, y, 0.5, noise)[0])
+        assert len(grads) == len(params.all_blocks())
+        assert max(errs.values()) < 1e-4, errs
+
+    def test_zero_tau_leaves_out_the_kl_gradient(self):
+        rng = substream(2025, 10)
+        arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
+        params = randomized_params(arch, rng)
+        x, y, noise = batch_for(arch, rng)
+        grads, errs = fd_errors(params, lambda: minibatch_loss(params, x, y, 0.0, noise)[0])
+        assert max(errs.values()) < 1e-4, errs
+        # tau = 0 is exactly the query NLL, so its gradient differs from a
+        # small positive tau's only through the KL term
+        with_kl = nn.backward(minibatch_loss(params, x, y, 1e-3, noise)[0])
+        assert any(not np.array_equal(grads[k], with_kl[k]) for k in grads)
+
+    def test_scale_pinned_at_floor(self):
+        rng = substream(2025, 11)
+        arch = small_arch(mean_damp=1.0, logscale_damp=1.0, scale_floor=1e-3)
+        params = randomized_params(arch, rng)
+        m = arch.beta_dim
+        # log-scale outputs of -100 whatever the support: sigma = floor exactly
+        params.theta_post[-2].value.array[:, m : 2 * m] = 0.0
+        params.theta_post[-1].value.array[m : 2 * m] = -100.0
+        x, y, noise = batch_for(arch, rng)
+        stats = forward_batch(params, x).stats
+        assert np.all(stats.q.scale_array() == arch.scale_floor)
+        grads, errs = fd_errors(params, lambda: minibatch_loss(params, x, y, 0.3, noise)[0])
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        assert max(errs.values()) < 1e-4, errs
+
+    def test_global_branch_loss(self):
+        rng = substream(2025, 12)
+        arch = small_arch()
+        params = randomized_params(arch, rng)
+        x = rng.standard_normal((7, arch.input_dim))
+        y = rng.integers(0, arch.num_classes, 7)
+        loss, parts = global_branch_loss(params, x, y)
+        nll, _ = nn.softmax_nll(global_branch_logits(params, x), y)
+        assert loss.item() == parts.nll == nll
+        assert parts.kl == 0.0 and parts.kl_weight == 0.0
+        grads, errs = fd_errors(params, lambda: global_branch_loss(params, x, y)[0])
+        assert sorted(grads) == sorted(b.name for b in [*params.theta_embed, *params.theta_cls])
+        assert max(errs.values()) < 1e-4, errs
+
+
 class TestGlobalBranch:
     def test_uses_only_global_features(self, rng):
         arch = small_arch(input_dim=6, embed_widths=(6,), local_dim=2, global_dim=4)
@@ -336,7 +413,7 @@ class TestGlobalBranch:
         params.theta_embed[0].value.array[...] = np.eye(6)
         params.theta_embed[1].value.array[...] = 0.0
         x = rng.standard_normal((3, 6))
-        logits = global_branch_logits(params, x).array
+        logits = global_branch_logits(params, x)
         expected = (
             x[:, :4] @ params.theta_cls[0].value.array + params.theta_cls[1].value.array
         )

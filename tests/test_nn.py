@@ -88,26 +88,27 @@ class TestRelu:
 
 class TestSoftmaxNll:
     def test_uniform_logits(self):
-        loss = nn.softmax_nll(Tensor.const([[0.0, 0.0]]), np.array([0]))
-        assert abs(loss.item() - math.log(2.0)) < 1e-12
+        nll, _ = nn.softmax_nll(np.array([[0.0, 0.0]]), np.array([0]))
+        assert abs(nll - math.log(2.0)) < 1e-12
 
     def test_confident_logits(self):
-        loss = nn.softmax_nll(Tensor.const([[10.0, -10.0]]), np.array([0]))
-        assert abs(loss.item() - math.log1p(math.exp(-20.0))) < 1e-12
+        nll, _ = nn.softmax_nll(np.array([[10.0, -10.0]]), np.array([0]))
+        assert abs(nll - math.log1p(math.exp(-20.0))) < 1e-12
 
     def test_four_way_uniform(self):
-        loss = nn.softmax_nll(Tensor.const([[0.0] * 4]), np.array([3]))
-        assert abs(loss.item() - math.log(4.0)) < 1e-12
+        nll, _ = nn.softmax_nll(np.array([[0.0] * 4]), np.array([3]))
+        assert abs(nll - math.log(4.0)) < 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            nn.softmax_nll(Tensor.const([[0.0, 1.0]]), np.array([2]))
+            nn.softmax_nll(np.array([[0.0, 1.0]]), np.array([2]))
         with pytest.raises(IndexError):
-            nn.softmax_nll(Tensor.const([[0.0, 1.0]]), np.array([-1]))
+            nn.softmax_nll(np.array([[0.0, 1.0]]), np.array([-1]))
 
     def test_huge_logits_stay_finite(self):
-        loss = nn.softmax_nll(Tensor.const([[1000.0, -1000.0]]), np.array([1]))
-        assert math.isfinite(loss.item())
+        nll, grad = nn.softmax_nll(np.array([[1000.0, -1000.0]]), np.array([1]))
+        assert math.isfinite(nll)
+        assert np.all(np.isfinite(grad))
 
     @given(
         c=st.floats(-50, 50),
@@ -118,9 +119,18 @@ class TestSoftmaxNll:
         r = np.random.default_rng(seed)
         logits = r.uniform(-5, 5, (4, 3))
         y = r.integers(0, 3, 4)
-        base = nn.softmax_nll(Tensor.const(logits), y).item()
-        shifted = nn.softmax_nll(Tensor.const(logits + c), y).item()
+        base, _ = nn.softmax_nll(logits, y)
+        shifted, _ = nn.softmax_nll(logits + c, y)
         assert abs(base - shifted) < 1e-10
+
+    def test_gradient_matches_finite_differences(self, rng):
+        logits = ParamBlock("logits", rng.uniform(-3, 3, (5, 4)))
+        y = rng.integers(0, 4, 5)
+        _, grad = nn.softmax_nll(logits.value.array, y)
+        fd = nn.finite_diff_grad(
+            lambda: float(nn.softmax_nll(logits.value.array, y)[0]), [logits], eps=1e-5
+        )
+        assert max_rel_err(fd["logits"], grad) < 1e-6
 
 
 def _backward_into(blocks: list[ParamBlock], build) -> dict[str, np.ndarray]:
@@ -152,6 +162,8 @@ class TestBackward:
         assert np.array_equal(unused.grad.array, np.zeros((2, 2)))
 
     def test_composite_matches_finite_differences(self, rng):
+        # graph ops up to the logits, then softmax_nll's explicit gradient
+        # as a fused node on top
         x = rng.uniform(-1, 1, (3, 4))
         y = rng.integers(0, 2, 3)
         w1 = ParamBlock("w1", rng.uniform(-1, 1, (4, 5)))
@@ -162,12 +174,27 @@ class TestBackward:
 
         def forward():
             h = nn.relu(nn.dense_forward(Tensor.const(x), w1.value, b1.value))
-            return nn.softmax_nll(nn.dense_forward(h, w2.value, b2.value), y)
+            logits = nn.dense_forward(h, w2.value, b2.value)
+            nll, grad = nn.softmax_nll(logits.array, y)
+            return nn.fused(nll, [logits], lambda g: [g * grad])
 
         grads = nn.backward(forward())
         fd = nn.finite_diff_grad(lambda: forward().item(), blocks, eps=1e-5)
         for block in blocks:
             assert max_rel_err(fd[block.name], grads[block.name]) < 1e-5
+
+    def test_fused_node_feeds_each_parent_its_gradient(self, rng):
+        a = ParamBlock("a", rng.uniform(-1, 1, (2, 3)))
+        b = ParamBlock("b", rng.uniform(-1, 1, 3))
+        value = float((a.value.array**2).sum() + np.sin(b.value.array).sum())
+
+        def grads(g):
+            return [g * 2.0 * a.value.array, g * np.cos(b.value.array)]
+
+        out = nn.backward(nn.fused(value, [a.value, b.value], grads))
+        assert np.array_equal(out["a"], 2.0 * a.value.array)
+        assert np.array_equal(out["b"], np.cos(b.value.array))
+        assert np.array_equal(a.grad.array, out["a"])
 
     def test_backward_twice_is_identical(self, rng):
         w = ParamBlock("w", rng.uniform(-1, 1, (3, 3)))
@@ -239,6 +266,16 @@ def test_published_op_gradients_match_finite_differences(case_index):
     for block in blocks:
         err = max_rel_err(fd[block.name], grads.get(block.name, np.zeros(block.shape)))
         assert err < 1e-4, f"{name}/{block.name}: rel err {err}"
+
+
+class TestNonFiniteError:
+    def test_context_reads_outermost_first(self):
+        exc = nn.NonFiniteError("minibatch loss contains non-finite entries")
+        assert str(exc) == "minibatch loss contains non-finite entries"
+        exc.add_context(client=7, batch=2)
+        exc.add_context(round=3)
+        assert str(exc) == "round 3, client 7, batch 2: minibatch loss contains non-finite entries"
+        assert exc.context == {"round": 3, "client": 7, "batch": 2}
 
 
 class TestTensorInvariants:
