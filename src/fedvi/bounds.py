@@ -201,7 +201,7 @@ def estimate_slack(
     dim = cfg.d * cfg.num_classes
     if prior.dim != dim:
         raise ValueError(f"prior dimension {prior.dim} != d*K = {dim}")
-    mean, scale = prior.mean_array(), prior.scale_array()
+    mean, scale = prior.mean, prior.scale
     k_classes = cfg.num_classes
     chunk = max(1, 8_000_000 // max(n_data_draws * max(task.n_per_client), 1))
 
@@ -253,7 +253,7 @@ def client_posterior_audit(
     batch = min(x.shape[0], AUDIT_BATCH_SIZE)
     fwd = forward_batch(params, x[:batch])
     q = fwd.stats.q
-    mu, sig = q.mean_array(), q.scale_array()
+    mu, sig = q.mean, q.scale
     beta_draws = mu + sig * rng.standard_normal((n_samples, q.dim))
     y_query = y[fwd.support_size : batch]
     nll_sum = 0.0

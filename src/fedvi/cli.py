@@ -240,7 +240,7 @@ def cmd_generate(cfg: ExperimentConfig, out_arg: str | None) -> int:
 def cmd_train(cfg: ExperimentConfig, out_arg: str | None) -> int:
     out = _out_dir(cfg, out_arg)
     ds, _ = _dataset_for(cfg)
-    result = run_training(cfg.train, cfg.arch, ds, parallel=cfg.parallel)
+    result = run_training(cfg.train, cfg.arch, ds)
     write_metrics(result, cfg, out / "metrics.csv")
     save_params(result.state.params, out / "params.bin")
     summary = {
@@ -299,7 +299,7 @@ def run_ablation(
                 "algorithm": "fedvi",
             }
         )
-        result = run_training(train_cfg, cfg.arch, ds, parallel=cfg.parallel)
+        result = run_training(train_cfg, cfg.arch, ds)
         s = result.summary
         row = (tau, s["part_acc"], s["nonpart_acc"], s["gap"])
         rows.append(row)

@@ -21,15 +21,6 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries key name and line number."""
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(","))
 
@@ -38,7 +29,6 @@ _CONVERTERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _parse_bool,
     "int_list": _parse_int_list,
 }
 
@@ -80,7 +70,6 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("bound", "trials"): ("int", 100),
     ("run", "seed"): ("int", 0),
     ("run", "label"): ("str", "run"),
-    ("run", "parallel"): ("bool", False),
 }
 
 _SECTIONS = ("data", "arch", "train", "bound", "run")
@@ -99,7 +88,6 @@ class ExperimentConfig:
     bound_trials: int
     seed: int
     label: str
-    parallel: bool
 
     def render(self) -> str:
         """Canonical text form with every resolved value (defaults applied)."""
@@ -111,8 +99,6 @@ class ExperimentConfig:
                     continue
                 if isinstance(value, tuple):
                     text = ",".join(str(v) for v in value)
-                elif isinstance(value, bool):
-                    text = "true" if value else "false"
                 elif isinstance(value, float):
                     text = repr(value)
                 else:
@@ -266,7 +252,6 @@ def build_config(
         bound_trials=get("bound", "trials"),
         seed=seed,
         label=get("run", "label"),
-        parallel=get("run", "parallel"),
     )
 
 

@@ -21,17 +21,22 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class DiagGaussian:
-    """Mean/scale vectors of an axis-aligned Gaussian, checked finite and
-    (scale) strictly positive on construction."""
+    """Mean/scale arrays of axis-aligned Gaussians, checked finite and
+    (scale) strictly positive on construction.
+
+    ``mean`` and ``scale`` are [m] for one distribution or [..., m] for a
+    stack of them, one per leading index; every function here works on
+    either and broadcasts a single distribution against a stack.
+    """
 
     mean: np.ndarray
     scale: np.ndarray
 
     def __post_init__(self) -> None:
         m, s = self.mean, self.scale
-        if m.ndim != 1 or s.ndim != 1 or m.shape != s.shape:
+        if m.ndim < 1 or m.shape != s.shape:
             raise nn.ShapeMismatchError(
-                f"DiagGaussian mean {m.shape} and scale {s.shape} must be equal-length vectors"
+                f"DiagGaussian mean {m.shape} and scale {s.shape} must be equal-shape arrays"
             )
         nn.assert_all_finite(m, "DiagGaussian mean")
         nn.assert_all_finite(s, "DiagGaussian scale")
@@ -46,13 +51,7 @@ class DiagGaussian:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def mean_array(self) -> np.ndarray:
-        return self.mean
-
-    def scale_array(self) -> np.ndarray:
-        return self.scale
+        return self.mean.shape[-1]
 
 
 def standard_prior(dim: int, scale: float) -> DiagGaussian:
@@ -65,8 +64,9 @@ def _check_dims(q: DiagGaussian, p: DiagGaussian) -> None:
         raise nn.ShapeMismatchError(f"dimension mismatch: q has {q.dim}, p has {p.dim}")
 
 
-def kl_diag(q: DiagGaussian, p: DiagGaussian) -> np.float64:
-    """Closed-form KL(q || p).
+def kl_diag(q: DiagGaussian, p: DiagGaussian) -> np.ndarray:
+    """Closed-form KL(q || p), one value per leading index (a numpy
+    float64 for two single distributions).
 
     Per coordinate: log(sp/sq) + (sq^2 + (mq-mp)^2) / (2 sp^2) - 1/2.
     """
@@ -78,7 +78,7 @@ def kl_diag(q: DiagGaussian, p: DiagGaussian) -> np.float64:
         + (q.scale * q.scale + dmean * dmean) * inv_two_var_p
         - 0.5
     )
-    return per_coord.sum()
+    return per_coord.sum(axis=-1)
 
 
 def kl_diag_grad(q: DiagGaussian, p: DiagGaussian) -> tuple[np.ndarray, np.ndarray]:
@@ -90,15 +90,15 @@ def kl_diag_grad(q: DiagGaussian, p: DiagGaussian) -> tuple[np.ndarray, np.ndarr
 
 
 def sample_reparam(q: DiagGaussian, noise) -> np.ndarray:
-    """mean + scale * noise.
+    """mean + scale * noise, with ``noise`` shaped like ``q.mean``.
 
     ``noise`` must be drawn externally from a standard normal so runs stay
     reproducible.
     """
     eps = np.asarray(noise, dtype=np.float64)
-    if eps.shape != (q.dim,):
+    if eps.shape != q.mean.shape:
         raise nn.ShapeMismatchError(
-            f"noise shape {eps.shape} does not match distribution dim {q.dim}"
+            f"noise shape {eps.shape} does not match distribution shape {q.mean.shape}"
         )
     return q.mean + q.scale * eps
 

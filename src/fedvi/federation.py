@@ -5,16 +5,19 @@ mini-batch gradient descent on copies of the server parameters, aggregate
 example-weighted pseudo-gradients (initial minus final), and apply them
 with server-side SGD momentum. Clients keep no state between rounds.
 
+The cohort trains in lockstep: at each local step, the clients whose
+batches have the same size take one stacked step together. Each client's
+slice of a stacked step computes exactly what its step alone would, so a
+client's update does not depend on the rest of its cohort.
+
 Every random draw comes from a counter-derived substream keyed by
-(seed, domain, round, client), so parallel and sequential client execution
-give bit-identical results and the whole run is a pure function of
+(seed, domain, round, client), so the whole run is a pure function of
 (seed, dataset).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -25,6 +28,7 @@ from .datagen import ClientDataset, FederatedDataset
 from .model import (
     ArchConfig,
     FedVIParams,
+    LossParts,
     forward_batch,
     global_branch_logits,
     global_branch_loss,
@@ -103,6 +107,17 @@ class ClientUpdate:
 
 
 @dataclass
+class CohortUpdate:
+    """One cohort's local training: the updates of the clients that trained,
+    in cohort order, the number of clients skipped, and the total number of
+    local steps taken."""
+
+    updates: list[ClientUpdate]
+    skipped: int
+    steps: int
+
+
+@dataclass
 class EvalResult:
     accuracy: float
     excluded: int
@@ -152,61 +167,127 @@ def iter_local_batches(
 
 def client_update(
     global_params: FedVIParams,
-    client: ClientDataset,
+    clients: list[ClientDataset],
     cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> ClientUpdate | None:
-    """Local training on a copy of the global parameters.
+    rngs: list[np.random.Generator],
+) -> CohortUpdate:
+    """Local training of a cohort on copies of the global parameters.
 
-    Returns the pseudo-gradient delta = initial - final, the client's
-    training example count as aggregation weight, and loss statistics.
-    Returns None (skip signal) for clients with fewer than 2 training
-    examples. The copy is discarded by the caller: clients are stateless.
-    A NonFiniteError raised in a step leaves with the client id and the
-    batch index added to its context.
+    Client k draws its minibatches and noise from ``rngs[k]``. The global
+    parameters are copied once into stacked blocks, one row per client;
+    at local step t, the clients whose t-th batches have the same size take
+    one stacked step (loss, backward, SGD update) together. A cohort of one
+    client computes exactly what that client computes in any cohort.
+
+    Each ClientUpdate holds the pseudo-gradient delta = initial - final,
+    the client's training example count as aggregation weight, and loss
+    statistics. Clients with fewer than 2 training examples, or no batch
+    of 2, are skipped. The copies are discarded: clients are stateless. A
+    NonFiniteError names the client and batch index of the first failing
+    client in cohort order, at the earliest failing step.
     """
-    if client.n_train < 2:
-        return None
-    params = global_params.clone()
-    initial = {b.name: b.value.array.copy() for b in params.all_blocks()}
-    loss_sum = nll_sum = reg_sum = kl_raw = 0.0
-    steps = 0
-    try:
-        for xb, yb, noise in iter_local_batches(client, cfg, params.arch, rng):
-            if cfg.algorithm == "fedvi":
-                loss, parts = minibatch_loss(params, xb, yb, cfg.tau, noise)
-            else:
-                loss, parts = global_branch_loss(params, xb, yb)
-            grads = nn.backward(loss)
-            if cfg.client_lr != 0.0:
-                for block in params.all_blocks():
-                    g = grads.get(block.name)
-                    if g is not None:
-                        block.value.array -= cfg.client_lr * g
-            loss_sum += loss.item()
-            nll_sum += parts.nll
-            reg_sum += parts.kl / xb.shape[0]
-            kl_raw += parts.kl
-            steps += 1
-    except nn.NonFiniteError as exc:
-        exc.add_context(client=client.client_id, batch=steps)
-        raise
-    if steps == 0:
-        return None
-    delta = {
-        b.name: initial[b.name] - b.value.array for b in params.all_blocks()
-    }
-    return ClientUpdate(
-        client_id=client.client_id,
-        delta=delta,
-        weight=client.n_train,
-        mean_loss=loss_sum / steps,
-        loss_sum=loss_sum,
-        nll_sum=nll_sum,
-        reg_sum=reg_sum,
-        kl_raw_sum=kl_raw,
-        steps=steps,
+    arch = global_params.arch
+    plans = [
+        list(iter_local_batches(client, cfg, arch, rng)) if client.n_train >= 2 else []
+        for client, rng in zip(clients, rngs)
+    ]
+    # Rows in descending order of the clients' batch-size sequences: with
+    # one local epoch, the clients that share a batch size at a step are
+    # then adjacent rows, and a group's parameters are views, not copies.
+    order = sorted(
+        (k for k, plan in enumerate(plans) if plan),
+        key=lambda k: [xb.shape[0] for xb, _, _ in plans[k]],
+        reverse=True,
     )
+    params = global_params.stacked(len(order))
+    loss_sum, nll_sum, reg_sum, kl_sum = (np.zeros(len(order)) for _ in range(4))
+    for t in range(max((len(plans[k]) for k in order), default=0)):
+        groups: dict[int, list[int]] = {}
+        for row, k in enumerate(order):
+            if t < len(plans[k]):
+                groups.setdefault(plans[k][t][0].shape[0], []).append(row)
+        failed: list[int] = []
+        for size, rows in groups.items():
+            group, index = _group(params, rows)
+            try:
+                parts = _stacked_step(group, [plans[order[r]][t] for r in rows], cfg)
+            except nn.NonFiniteError:
+                failed += rows
+                continue
+            if index is not None:  # write the group's copies back
+                for block, own in zip(params.all_blocks(), group.all_blocks()):
+                    block.value.array[index] = own.value.array
+            loss_sum[rows] += parts.loss
+            nll_sum[rows] += parts.nll
+            reg_sum[rows] += parts.kl / size
+            kl_sum[rows] += parts.kl
+        if failed:
+            # Rerun the failed rows one at a time, in cohort order.
+            for row in sorted(failed, key=order.__getitem__):
+                k = order[row]
+                try:
+                    _stacked_step(params.rows(slice(row, row + 1)), [plans[k][t]], cfg)
+                except nn.NonFiniteError as exc:
+                    exc.add_context(client=clients[k].client_id, batch=t)
+                    raise
+            raise RuntimeError(f"step {t} failed in a stack but for no client alone")
+    blocks = list(zip(global_params.all_blocks(), params.all_blocks()))
+    updates = []
+    for row, k in sorted(enumerate(order), key=lambda pair: pair[1]):
+        steps = len(plans[k])
+        updates.append(
+            ClientUpdate(
+                client_id=clients[k].client_id,
+                delta={
+                    g.name: g.value.array - b.value.array[row].reshape(g.shape)
+                    for g, b in blocks
+                },
+                weight=clients[k].n_train,
+                mean_loss=float(loss_sum[row]) / steps,
+                loss_sum=float(loss_sum[row]),
+                nll_sum=float(nll_sum[row]),
+                reg_sum=float(reg_sum[row]),
+                kl_raw_sum=float(kl_sum[row]),
+                steps=steps,
+            )
+        )
+    return CohortUpdate(
+        updates=updates,
+        skipped=len(clients) - len(order),
+        steps=sum(u.steps for u in updates),
+    )
+
+
+def _group(params: FedVIParams, rows: list[int]) -> tuple[FedVIParams, np.ndarray | None]:
+    """The stacked parameters of ``rows``: views when the rows are
+    consecutive, else copies, returned with the index array to write them
+    back to."""
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return params.rows(slice(rows[0], rows[-1] + 1)), None
+    index = np.array(rows)
+    return params.rows(index), index
+
+
+def _stacked_step(
+    params: FedVIParams,
+    batches: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+    cfg: TrainConfig,
+) -> LossParts:
+    """One SGD step of stacked ``params``, one row per batch (all of one
+    size); returns the loss parts, one per row."""
+    xb = np.stack([b[0] for b in batches])
+    yb = np.stack([b[1] for b in batches])
+    if cfg.algorithm == "fedvi":
+        loss, parts = minibatch_loss(params, xb, yb, cfg.tau, np.stack([b[2] for b in batches]))
+    else:
+        loss, parts = global_branch_loss(params, xb, yb)
+    grads = nn.backward(loss)
+    if cfg.client_lr != 0.0:
+        for block in params.all_blocks():
+            g = grads.get(block.name)
+            if g is not None:
+                block.value.array -= cfg.client_lr * g
+    return parts
 
 
 def init_server(arch: ArchConfig, seed: int) -> ServerState:
@@ -245,6 +326,9 @@ def _accuracy_weighted(per_client: list[tuple[float, int]]) -> float:
     return sum(a * w for a, w in per_client) / wsum
 
 
+EVAL_STACK_ROWS = 8192  # test rows per stacked forward pass; bounds evaluate's memory
+
+
 def evaluate(
     params: FedVIParams,
     clients: list[ClientDataset],
@@ -256,72 +340,50 @@ def evaluate(
     The personalized path batches each client's test set, rebuilds the
     posterior from the batch's own unlabeled support half, sets the local
     weights to the posterior mean, and counts accuracy on query halves
-    only. Forward passes only: no graph node is built. The non-personalized path scores the global branch on all test
-    examples. Clients with fewer than 2 test examples are excluded.
+    only; a tail batch of one example is skipped. The non-personalized
+    path scores the global branch on all test examples. Clients with fewer
+    than 2 test examples, or no batch of 2, are excluded.
+
+    Test batches of equal size, across all clients, go through one stacked
+    forward pass with the shared weights (whole test sets of equal size on
+    the non-personalized path). Forward passes only: no graph node is built.
     """
-    per_client: list[tuple[float, int]] = []
-    excluded = 0
-    for client in clients:
+    by_size: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+    n_tests = []
+    for k, client in enumerate(clients):
         x_te, y_te = client.test_arrays()
         n = x_te.shape[0]
+        n_tests.append(n)
         if n < 2:
-            excluded += 1
             continue
-        correct = 0
-        seen = 0
-        if cfg.algorithm == "fedavg":
-            logits = global_branch_logits(params, x_te)
-            correct = int((logits.argmax(axis=1) == y_te).sum())
-            seen = n
-        else:
-            for start in range(0, n, cfg.batch_size):
-                xb = x_te[start : start + cfg.batch_size]
-                yb = y_te[start : start + cfg.batch_size]
-                if xb.shape[0] < 2:
-                    continue
-                fwd = forward_batch(params, xb)
+        step = n if cfg.algorithm == "fedavg" else cfg.batch_size
+        for start in range(0, n, step):
+            xb = x_te[start : start + step]
+            if xb.shape[0] >= 2:
+                by_size.setdefault(xb.shape[0], []).append((k, xb, y_te[start : start + step]))
+    correct = [0] * len(clients)
+    seen = [0] * len(clients)
+    for size, units in by_size.items():
+        per_pass = max(1, EVAL_STACK_ROWS // size)
+        for lo in range(0, len(units), per_pass):
+            chunk = units[lo : lo + per_pass]
+            x = np.stack([xb for _, xb, _ in chunk])
+            y = np.stack([yb for _, _, yb in chunk])
+            if cfg.algorithm == "fedavg":
+                logits = global_branch_logits(params, x)
+            else:
+                fwd = forward_batch(params, x)
                 logits = fwd.logits_for(fwd.stats.q.mean)
-                yq = yb[fwd.support_size :]
-                correct += int((logits.argmax(axis=1) == yq).sum())
-                seen += yq.size
-        if seen == 0:
-            excluded += 1
-            continue
-        per_client.append((correct / seen, n))
+                y = y[:, fwd.support_size :]
+            hits = (logits.argmax(axis=-1) == y).sum(axis=-1)
+            for (k, _, _), h in zip(chunk, hits.tolist()):
+                correct[k] += h
+                seen[k] += y.shape[1]
+    per_client = [(c / s, n) for c, s, n in zip(correct, seen, n_tests) if s]
+    excluded = len(clients) - len(per_client)
     if not per_client:
         return EvalResult(accuracy=float("nan"), excluded=excluded)
     return EvalResult(accuracy=_accuracy_weighted(per_client), excluded=excluded)
-
-
-def _round_updates(
-    state: ServerState,
-    cohort_clients: list[ClientDataset],
-    cfg: TrainConfig,
-    round_index: int,
-    parallel: bool,
-) -> list[ClientUpdate]:
-    rngs = [
-        substream(cfg.seed, DOMAIN_CLIENT, round_index, client.client_id)
-        for client in cohort_clients
-    ]
-    try:
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                results = list(
-                    pool.map(
-                        lambda pair: client_update(state.params, pair[0], cfg, pair[1]),
-                        zip(cohort_clients, rngs),
-                    )
-                )
-        else:
-            results = [
-                client_update(state.params, client, cfg, rng)
-                for client, rng in zip(cohort_clients, rngs)
-            ]
-    except nn.NonFiniteError as exc:
-        exc.add_context(round=round_index)
-        raise
-    return [u for u in results if u is not None]
 
 
 def summarize(reports: list[RoundReport], rounds: int, window: int | None = None) -> dict:
@@ -350,9 +412,12 @@ def run_training(
     cfg: TrainConfig,
     arch: ArchConfig,
     ds: FederatedDataset,
-    parallel: bool = False,
 ) -> RunResult:
-    """The full round loop; deterministic given (cfg.seed, ds)."""
+    """The full round loop; deterministic given (cfg.seed, ds).
+
+    A NonFiniteError from local training, the server update or evaluation
+    leaves with the round added to its context.
+    """
     participating = ds.participating_clients()
     holdout = ds.holdout_clients()
     if cfg.cohort_size > len(participating):
@@ -372,41 +437,46 @@ def run_training(
             cfg.cohort_size,
             substream(cfg.seed, DOMAIN_COHORT, round_index),
         )
-        updates = _round_updates(
-            state, [by_id[cid] for cid in cohort], cfg, round_index, parallel
-        )
-        skipped = len(cohort) - len(updates)
-        total_skipped += skipped
-        if not updates:
-            raise RuntimeError(f"round {round_index}: every cohort client was degenerate")
-        updates.sort(key=lambda u: u.client_id)
-        server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
-        cumulative_steps += sum(u.steps for u in updates)
+        try:
+            trained = client_update(
+                state.params,
+                [by_id[cid] for cid in cohort],
+                cfg,
+                [substream(cfg.seed, DOMAIN_CLIENT, round_index, cid) for cid in cohort],
+            )
+            updates = sorted(trained.updates, key=lambda u: u.client_id)
+            total_skipped += trained.skipped
+            if not updates:
+                raise RuntimeError(f"round {round_index}: every cohort client was degenerate")
+            server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
+            cumulative_steps += trained.steps
 
-        part_acc = nonpart_acc = None
-        eval_excluded = 0
-        if round_index % cfg.eval_every == 0 or round_index == cfg.rounds:
-            eval_rng = substream(cfg.seed, DOMAIN_EVAL, round_index)
-            part = evaluate(state.params, participating, cfg, eval_rng)
-            part_acc = part.accuracy
-            eval_excluded = part.excluded
-            if holdout:
-                nonpart = evaluate(state.params, holdout, cfg, eval_rng)
-                nonpart_acc = nonpart.accuracy
-                eval_excluded += nonpart.excluded
-        steps = sum(u.steps for u in updates)
+            part_acc = nonpart_acc = None
+            eval_excluded = 0
+            if round_index % cfg.eval_every == 0 or round_index == cfg.rounds:
+                eval_rng = substream(cfg.seed, DOMAIN_EVAL, round_index)
+                part = evaluate(state.params, participating, cfg, eval_rng)
+                part_acc = part.accuracy
+                eval_excluded = part.excluded
+                if holdout:
+                    nonpart = evaluate(state.params, holdout, cfg, eval_rng)
+                    nonpart_acc = nonpart.accuracy
+                    eval_excluded += nonpart.excluded
+        except nn.NonFiniteError as exc:
+            exc.add_context(round=round_index)
+            raise
         reports.append(
             RoundReport(
                 round_index=round_index,
                 cohort=cohort,
                 mean_client_loss=float(np.mean([u.mean_loss for u in updates])),
                 loss_sum=float(sum(u.loss_sum for u in updates)),
-                kl_mean=float(sum(u.kl_raw_sum for u in updates) / max(steps, 1)),
+                kl_mean=float(sum(u.kl_raw_sum for u in updates) / max(trained.steps, 1)),
                 part_acc=part_acc,
                 nonpart_acc=nonpart_acc,
                 duration_s=time.perf_counter() - t0,
                 cumulative_steps=cumulative_steps,
-                skipped_clients=skipped,
+                skipped_clients=trained.skipped,
                 eval_excluded=eval_excluded,
             )
         )

@@ -16,6 +16,14 @@ Every stage works on plain float64 arrays. ``minibatch_loss`` (and
 ``nn.fused`` graph node over the parameter leaves; its reverse pass is
 derived by hand, stage by stage, from the activations the forward pass
 kept, so ``nn.backward(loss)`` yields every parameter's gradient.
+
+Every stage also takes a stack of batches, one per client, on a leading
+axis: a 2-D [B x d] input is one client's batch, a 3-D [C x B x d] input C
+batches of equal size. Stacked batches run with shared parameters (as
+``evaluate`` does) or with stacked ones from ``FedVIParams.stacked`` (as
+the cohort's local training does). Each client's slice goes through the
+same BLAS calls and reductions as its batch alone, so its results are
+bit-identical to the 2-D case.
 """
 
 from __future__ import annotations
@@ -104,11 +112,28 @@ class FedVIParams:
     def all_blocks(self) -> list[ParamBlock]:
         return [*self.theta_embed, *self.theta_post, *self.theta_cls]
 
-    def clone(self) -> "FedVIParams":
+    def stacked(self, count: int) -> "FedVIParams":
+        """``count`` copies of every block along a new leading client axis.
+
+        Every stacked block is 3-D: a weight [count x in x out], a bias
+        [count x 1 x out], so that it broadcasts over a stacked batch.
+        """
+
+        def stack(b: ParamBlock) -> ParamBlock:
+            a = b.value.array.reshape((1,) * (3 - b.value.array.ndim) + b.shape)
+            return ParamBlock(b.name, np.broadcast_to(a, (count, *a.shape[1:])))
+
+        return self._map(stack)
+
+    def rows(self, sel: slice | np.ndarray) -> "FedVIParams":
+        """The clients ``sel`` of stacked parameters (``ParamBlock.rows``)."""
+        return self._map(lambda b: b.rows(sel))
+
+    def _map(self, fn) -> "FedVIParams":
         return FedVIParams(
-            [b.clone() for b in self.theta_embed],
-            [b.clone() for b in self.theta_post],
-            [b.clone() for b in self.theta_cls],
+            [fn(b) for b in self.theta_embed],
+            [fn(b) for b in self.theta_post],
+            [fn(b) for b in self.theta_cls],
             self.arch,
         )
 
@@ -165,7 +190,7 @@ def _mlp_forward(
 
     When ``acts`` is given, each layer's input is appended to it: all that
     ``_mlp_backward`` needs, since a ReLU's output is positive exactly
-    where its input is.
+    where its input is. ``x`` is [B x in] or a stack [C x B x in].
     """
     n_layers = len(blocks) // 2
     h = x
@@ -188,16 +213,18 @@ def _mlp_backward(
     """Reverse pass of ``_mlp_forward`` from d(loss)/d(output).
 
     Writes each block's gradient into ``grads`` by name and returns
-    d(loss)/d(input) when ``input_grad`` is set.
+    d(loss)/d(input) when ``input_grad`` is set. Stacked blocks (3-D, from
+    ``FedVIParams.stacked``) get one gradient per client.
     """
     d = d_out
     for i in reversed(range(len(blocks) // 2)):
         h = acts[i]
-        grads[blocks[2 * i].name] = h.T @ d
-        grads[blocks[2 * i + 1].name] = d.sum(axis=0)
+        weight, bias = blocks[2 * i], blocks[2 * i + 1]
+        grads[weight.name] = h.swapaxes(-1, -2) @ d
+        grads[bias.name] = d.sum(axis=-2, keepdims=bias.value.array.ndim == d.ndim)
         if i == 0 and not input_grad:
             return None
-        d = d @ blocks[2 * i].value.array.T
+        d = d @ weight.value.array.swapaxes(-1, -2)
         if i > 0:
             d = d * (h > 0.0)
     return d
@@ -206,11 +233,13 @@ def _mlp_backward(
 def embed(
     params: FedVIParams, x, acts: list[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Map raw inputs [B x input_dim] to representations [B x rep_dim]."""
+    """Map raw inputs [B x input_dim] to representations [B x rep_dim]
+    (or a stack [C x B x input_dim] to [C x B x rep_dim])."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.arch.input_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != params.arch.input_dim:
         raise nn.ShapeMismatchError(
-            f"embed expects [B x {params.arch.input_dim}], got {x.shape}"
+            f"embed expects [B x {params.arch.input_dim}] or [C x B x "
+            f"{params.arch.input_dim}], got {x.shape}"
         )
     return _mlp_forward(params.theta_embed, x, acts)
 
@@ -268,17 +297,17 @@ def construct_posterior(
     its square); both default to 2.
     """
     arch = params.arch
-    if support_global.ndim != 2 or support_global.shape[0] < 1:
+    if support_global.ndim not in (2, 3) or support_global.shape[-2] < 1:
         raise nn.ShapeMismatchError(
-            f"support features must be [S x {arch.global_dim}] with S >= 1, "
-            f"got {support_global.shape}"
+            f"support features must be [S x {arch.global_dim}] or [C x S x "
+            f"{arch.global_dim}] with S >= 1, got {support_global.shape}"
         )
-    g = _mlp_forward(params.theta_post, support_global, acts).mean(axis=0)
+    g = _mlp_forward(params.theta_post, support_global, acts).mean(axis=-2)
     m = arch.beta_dim
-    mu = arch.mean_damp * g[:m]
-    scale_exp = np.exp(arch.logscale_damp * g[m : 2 * m])
+    mu = arch.mean_damp * g[..., :m]
+    scale_exp = np.exp(arch.logscale_damp * g[..., m : 2 * m])
     sigma = arch.scale_floor + arch.prior_scale * scale_exp
-    b_beta = g[2 * m : 2 * m + arch.num_classes]
+    b_beta = g[..., 2 * m : 2 * m + arch.num_classes]
     return PosteriorStats(q=DiagGaussian(mu, sigma), b_beta=b_beta, scale_exp=scale_exp)
 
 
@@ -295,12 +324,12 @@ def _posterior_backward(
     b_beta); fills the constructor's gradients, returns d/d(support_global)."""
     arch = params.arch
     m = arch.beta_dim
-    d_g = np.empty(arch.posterior_out_dim)
-    d_g[:m] = d_mean * arch.mean_damp
-    d_g[m : 2 * m] = d_scale * arch.prior_scale * stats.scale_exp * arch.logscale_damp
-    d_g[2 * m :] = d_bias
-    rows = acts[0].shape[0]
-    d_out = np.repeat((d_g / rows)[None, :], rows, axis=0)
+    d_g = np.empty(d_bias.shape[:-1] + (arch.posterior_out_dim,))
+    d_g[..., :m] = d_mean * arch.mean_damp
+    d_g[..., m : 2 * m] = d_scale * arch.prior_scale * stats.scale_exp * arch.logscale_damp
+    d_g[..., 2 * m :] = d_bias
+    rows = acts[0].shape[-2]
+    d_out = np.repeat((d_g / rows)[..., None, :], rows, axis=-2)
     return _mlp_backward(params.theta_post, acts, d_out, grads, input_grad=True)
 
 
@@ -311,14 +340,23 @@ def predict_logits(
     query_global: np.ndarray,
     query_local: np.ndarray,
 ) -> np.ndarray:
-    """Local branch reshape(beta, [K, L]) . local + global classifier + biases."""
+    """Local branch reshape(beta, [K, L]) . local + global classifier + biases.
+
+    For stacked queries [C x Q x L], ``beta`` is [C x m] and ``b_beta``
+    [C x K], one per client.
+    """
     arch = params.arch
-    if beta.shape != (arch.beta_dim,):
+    if beta.shape != query_local.shape[:-2] + (arch.beta_dim,):
         raise nn.ShapeMismatchError(
-            f"beta must be a vector of length {arch.beta_dim}, got {beta.shape}"
+            f"beta must be [{arch.beta_dim}] per query batch of {query_local.shape}, "
+            f"got {beta.shape}"
         )
-    weights = beta.reshape(arch.num_classes, arch.local_dim)
-    return query_local @ weights.T + _mlp_forward(params.theta_cls, query_global) + b_beta
+    weights = beta.reshape(beta.shape[:-1] + (arch.num_classes, arch.local_dim))
+    return (
+        query_local @ weights.swapaxes(-1, -2)
+        + _mlp_forward(params.theta_cls, query_global)
+        + b_beta[..., None, :]
+    )
 
 
 def global_branch_logits(
@@ -335,8 +373,11 @@ def global_branch_logits(
 
 @dataclass
 class LossParts:
-    nll: float
-    kl: float
+    """Query NLL and KL of one batch, or arrays of them, one per client, for
+    a stack of batches."""
+
+    nll: float | np.ndarray
+    kl: float | np.ndarray
     kl_weight: float
 
     @property
@@ -366,13 +407,13 @@ class BatchForward:
 def forward_batch(params: FedVIParams, x) -> BatchForward:
     """Embed, split support/query and features, rebuild the posterior."""
     x = np.asarray(x, dtype=np.float64)
-    support, _ = split_support_query(x.shape[0], params.arch.support_fraction)
+    support, _ = split_support_query(x.shape[-2], params.arch.support_fraction)
     s = support.size
     embed_acts: list[np.ndarray] = []
     post_acts: list[np.ndarray] = []
     rep = embed(params, x, embed_acts)
-    support_global, _ = split_features(params.arch, rep[:s])
-    query_global, query_local = split_features(params.arch, rep[s:])
+    support_global, _ = split_features(params.arch, rep[..., :s, :])
+    query_global, query_local = split_features(params.arch, rep[..., s:, :])
     stats = construct_posterior(params, support_global, post_acts)
     return BatchForward(params, stats, query_global, query_local, s, embed_acts, post_acts)
 
@@ -389,15 +430,22 @@ def minibatch_loss(
     ``noise`` is the frozen standard-normal vector for the reparameterized
     local-weight sample, so the loss is a deterministic function of
     (params, batch, tau, noise). Support labels are never read.
+
+    For a stack of C batches, ``params`` are stacked (``FedVIParams.stacked``),
+    ``y`` is [C x B] and ``noise`` [C x m]; the parts hold one value per
+    client and the loss node's value is their sum, whose gradient leaves
+    each client's gradient exactly as its own loss gives it.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     arch = params.arch
-    batch = np.asarray(x).shape[0]
+    batch = np.asarray(x).shape[-2]
     fwd = forward_batch(params, x)
     q = fwd.stats.q
     beta = sample_reparam(q, noise)
-    nll, d_logits = nn.softmax_nll(fwd.logits_for(beta), np.asarray(y)[fwd.support_size :])
+    nll, d_logits = nn.softmax_nll(
+        fwd.logits_for(beta), np.asarray(y)[..., fwd.support_size :]
+    )
     prior = arch.prior
     kl = kl_diag(q, prior)
     weight = tau / batch
@@ -412,8 +460,9 @@ def minibatch_loss(
         d_query_global = _mlp_backward(
             params.theta_cls, [fwd.query_global], d_logits_g, out, input_grad=True
         )
-        weights = beta.reshape(arch.num_classes, arch.local_dim)
-        d_beta = (fwd.query_local.T @ d_logits_g).T.ravel()
+        weights = beta.reshape(beta.shape[:-1] + (arch.num_classes, arch.local_dim))
+        d_weights_t = fwd.query_local.swapaxes(-1, -2) @ d_logits_g
+        d_beta = d_weights_t.swapaxes(-1, -2).reshape(beta.shape)
         d_query_local = d_logits_g @ weights
         d_mean, d_scale = sample_reparam_grad(noise, d_beta)
         if weight != 0.0:
@@ -422,25 +471,26 @@ def minibatch_loss(
             d_scale = d_scale + (g * weight) * kl_scale
         d_support_global = _posterior_backward(
             params, fwd.stats, fwd.post_acts, d_mean, d_scale,
-            d_logits_g.sum(axis=0), out,
+            d_logits_g.sum(axis=-2), out,
         )
         s, g_dim = fwd.support_size, arch.global_dim
-        d_rep = np.zeros((batch, arch.rep_dim))
-        d_rep[:s, :g_dim] = d_support_global
-        d_rep[s:, :g_dim] = d_query_global
-        d_rep[s:, g_dim:] = d_query_local
+        d_rep = np.zeros(d_logits.shape[:-2] + (batch, arch.rep_dim))
+        d_rep[..., :s, :g_dim] = d_support_global
+        d_rep[..., s:, :g_dim] = d_query_global
+        d_rep[..., s:, g_dim:] = d_query_local
         _mlp_backward(params.theta_embed, fwd.embed_acts, d_rep, out)
         return [out[b.name] for b in blocks]
 
-    loss = nn.fused(value, [b.value for b in blocks], grads)
-    return loss, LossParts(nll=float(nll), kl=float(kl), kl_weight=weight)
+    loss = nn.fused(value.sum(), [b.value for b in blocks], grads)
+    return loss, LossParts(nll=nll, kl=kl, kl_weight=weight)
 
 
 def global_branch_loss(params: FedVIParams, x, y: np.ndarray) -> tuple[Tensor, LossParts]:
     """Summed NLL of the global branch on the whole batch (fedavg's loss).
 
     One fused node over the embedding and classifier leaves; the
-    constructor gets no gradient.
+    constructor gets no gradient. A stack of batches works as in
+    ``minibatch_loss``.
     """
     acts: list[np.ndarray] = []
     nll, d_logits = nn.softmax_nll(global_branch_logits(params, x, acts), y)
@@ -450,10 +500,10 @@ def global_branch_loss(params: FedVIParams, x, y: np.ndarray) -> tuple[Tensor, L
     def grads(g: np.ndarray) -> list[np.ndarray]:
         out: dict[str, np.ndarray] = {}
         d_global = _mlp_backward(params.theta_cls, acts[-1:], g * d_logits, out, input_grad=True)
-        d_rep = np.zeros((d_logits.shape[0], params.arch.rep_dim))
-        d_rep[:, : params.arch.global_dim] = d_global
+        d_rep = np.zeros(d_logits.shape[:-1] + (params.arch.rep_dim,))
+        d_rep[..., : params.arch.global_dim] = d_global
         _mlp_backward(params.theta_embed, acts[:-1], d_rep, out)
         return [out[b.name] for b in blocks]
 
-    loss = nn.fused(nll, [b.value for b in blocks], grads)
-    return loss, LossParts(nll=float(nll), kl=0.0, kl_weight=0.0)
+    loss = nn.fused(nll.sum(), [b.value for b in blocks], grads)
+    return loss, LossParts(nll=nll, kl=np.zeros_like(nll), kl_weight=0.0)

@@ -3,9 +3,10 @@
 A ``Tensor`` is a node in a graph that :func:`backward` replays in reverse
 to produce exact gradients for every :class:`ParamBlock` reachable from a
 scalar loss. The model builds that graph as one :func:`fused` node per
-minibatch: its value is computed on plain arrays and its reverse pass is
-hand-derived, so the graph is the loss plus the parameter leaves.
-:func:`softmax_nll` works on arrays and returns its gradient alongside.
+minibatch, or per stack of minibatches: its value is computed on plain
+arrays and its reverse pass is hand-derived, so the graph is the loss plus
+the parameter leaves. :func:`softmax_nll` works on arrays, one batch or a
+stack of them, and returns its gradient alongside.
 
 The one-node-per-op graph ops (``add`` ... ``dropout``) remain for code
 that still names them; the model does not use them.
@@ -153,16 +154,24 @@ class ParamBlock:
     def __init__(self, name: str, value) -> None:
         arr = _as_array(value).copy()
         assert_all_finite(arr, f"parameter {name!r}")
+        self._bind(name, arr, np.zeros(arr.shape))
+
+    def _bind(self, name: str, arr: np.ndarray, grad: np.ndarray) -> None:
         self.name = name
         self.value = Tensor(arr, requires_grad=True, param=weakref.ref(self))
-        self.grad = Tensor(np.zeros_like(arr))
+        self.grad = Tensor(grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def clone(self) -> "ParamBlock":
-        return ParamBlock(self.name, self.value.array)
+    def rows(self, sel) -> "ParamBlock":
+        """The block's rows ``sel`` (along the first axis) as a block of
+        their own, value and gradient slot alike: views of this block's
+        arrays for a slice, copies for an index array."""
+        block = ParamBlock.__new__(ParamBlock)
+        block._bind(self.name, self.value.array[sel], self.grad.array[sel])
+        return block
 
     def __repr__(self) -> str:
         return f"ParamBlock({self.name!r}, shape={self.shape})"
@@ -358,30 +367,35 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _node(out, (a,), push)
 
 
-def softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, np.ndarray]:
+def softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Summed negative log-likelihood of integer labels under row softmax,
     and its gradient with respect to the logits (softmax minus one-hot).
 
-    Uses the log-sum-exp shift, so arbitrarily large logits stay stable.
+    ``logits`` is [..., B, K] and ``labels`` [..., B]; the sum runs over
+    the B rows of each leading index, so [B, K] logits give one scalar and
+    a stack of them one sum per batch. Uses the log-sum-exp shift, so
+    arbitrarily large logits stay stable.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 2:
-        raise ShapeMismatchError(f"softmax_nll expects [B×K] logits, got {z.shape}")
+    if z.ndim < 2:
+        raise ShapeMismatchError(f"softmax_nll expects [..., B, K] logits, got {z.shape}")
     y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != z.shape[0]:
+    if y.shape != z.shape[:-1]:
         raise ShapeMismatchError(
-            f"softmax_nll labels shape {y.shape} does not match batch {z.shape[0]}"
+            f"softmax_nll labels shape {y.shape} does not match logits {z.shape}"
         )
-    if y.size and (y.min() < 0 or y.max() >= z.shape[1]):
-        raise IndexError(f"label out of range [0, {z.shape[1]})")
-    y = y.astype(np.intp, copy=False)
-    shift = z - z.max(axis=1, keepdims=True)
+    k = z.shape[-1]
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise IndexError(f"label out of range [0, {k})")
+    flat_y = y.reshape(-1).astype(np.intp, copy=False)
+    rows = np.arange(flat_y.size)
+    shift = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shift)
-    norm = e.sum(axis=1)
-    rows = np.arange(z.shape[0])
-    nll = (np.log(norm) - shift[rows, y]).sum()
-    grad = e / norm[:, None]
-    grad[rows, y] -= 1.0
+    norm = e.sum(axis=-1)
+    picked = shift.reshape(-1, k)[rows, flat_y].reshape(y.shape)
+    nll = (np.log(norm) - picked).sum(axis=-1)
+    grad = e / norm[..., None]
+    grad.reshape(-1, k)[rows, flat_y] -= 1.0
     return nll, grad
 
 
@@ -423,9 +437,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
     """Reverse-accumulate d(loss)/d(param) for every reachable ParamBlock.
 
-    The loss must be scalar. Gradients are written into each block's
-    ``grad`` tensor (overwriting previous contents) and also returned by
-    name. Repeated calls on the same graph give identical results.
+    The loss must be scalar. Gradients are returned by name, as arrays of
+    this call that a later call leaves alone, and copied into each block's
+    ``grad`` tensor (overwriting previous contents). Repeated calls on the
+    same graph give identical results.
     """
     if loss.array.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {loss.shape}")
@@ -450,7 +465,7 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
         if node.param is not None:
             block = node.param()
             block.grad.array[...] = g
-            out[block.name] = block.grad.array
+            out[block.name] = g
         if node._push is not None:
             node._push(g, sink)
     return out

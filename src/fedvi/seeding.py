@@ -2,7 +2,8 @@
 
 Every source of randomness in a run is a child stream of the run seed,
 keyed by a domain tag plus counters (round, client id, ...). Pre-splitting
-streams this way makes parallel and sequential client execution bit-identical.
+streams this way keeps a client's draws independent of which clients share
+its cohort and of the order in which they train.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedvi.federation import client_update, init_server, sample_cohort, server_apply
 from fedvi.model import ArchConfig, init_params
-from fedvi.seeding import substream
+from fedvi.seeding import DOMAIN_CLIENT, DOMAIN_COHORT, substream
 
 
 def small_arch(**overrides) -> ArchConfig:
@@ -37,3 +38,26 @@ def rng():
 @pytest.fixture
 def tiny_params(rng):
     return init_params(small_arch(), rng)
+
+
+def replay_rounds(cfg, arch, ds):
+    """Replay ``run_training``'s rounds with one ``client_update`` call per
+    client (cohorts of one) and ``server_apply``; returns the final server
+    state and each round's loss sum."""
+    participating = ds.participating_clients()
+    by_id = {c.client_id: c for c in participating}
+    state = init_server(arch, cfg.seed)
+    loss_sums = []
+    for round_index in range(1, cfg.rounds + 1):
+        cohort = sample_cohort(
+            [c.client_id for c in participating],
+            cfg.cohort_size,
+            substream(cfg.seed, DOMAIN_COHORT, round_index),
+        )
+        updates = []
+        for cid in sorted(cohort):
+            rng = substream(cfg.seed, DOMAIN_CLIENT, round_index, cid)
+            updates += client_update(state.params, [by_id[cid]], cfg, [rng]).updates
+        server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
+        loss_sums.append(float(sum(u.loss_sum for u in updates)))
+    return state, loss_sums

@@ -47,6 +47,8 @@ from fedvi.federation import (
 from fedvi.model import ArchConfig, construct_posterior, init_params, minibatch_loss
 from fedvi.seeding import DOMAIN_CLIENT, DOMAIN_COHORT, DOMAIN_DATA, substream
 
+from conftest import replay_rounds
+
 
 def report(name: str, passed: bool, detail: str) -> None:
     print(f"[acceptance] {name}: {'PASS' if passed else 'FAIL'} ({detail})", flush=True)
@@ -262,10 +264,10 @@ def test_criterion_04_posterior_at_init():
         params = init_params(arch, r)
         support = r.standard_normal((8, arch.global_dim))
         stats = construct_posterior(params, support)
-        worst_mu = max(worst_mu, float(np.abs(stats.q.mean_array()).max()))
+        worst_mu = max(worst_mu, float(np.abs(stats.q.mean).max()))
         worst_sigma = max(
             worst_sigma,
-            float(np.abs(stats.q.scale_array() - sigma0).max() / sigma0),
+            float(np.abs(stats.q.scale - sigma0).max() / sigma0),
         )
     ok = worst_mu < 0.05 and worst_sigma < 0.05
     report(
@@ -330,8 +332,10 @@ def test_criterion_05_label_free_support():
         y2 = client.y.copy()
         y2[support_rows] = (y2[support_rows] + 1) % gen.num_classes
         garbled = ClientDataset(client.client_id, client.x, y2, client.split)
-        u1 = client_update(params, client, cfg, substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id))
-        u2 = client_update(params, garbled, cfg, substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id))
+        stream = [substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id)]
+        u1 = client_update(params, [client], cfg, stream).updates[0]
+        stream = [substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id)]
+        u2 = client_update(params, [garbled], cfg, stream).updates[0]
         bitwise_ok &= u1.loss_sum == u2.loss_sum
         bitwise_ok &= all(np.array_equal(u1.delta[k], u2.delta[k]) for k in u1.delta)
 
@@ -385,8 +389,8 @@ def test_criterion_06_fedavg_equivalence():
         by_id = {c.client_id: c for c in ds.clients}
         updates = [
             client_update(
-                state.params, by_id[cid], cfg, substream(cfg.seed, DOMAIN_CLIENT, 1, cid)
-            )
+                state.params, [by_id[cid]], cfg, [substream(cfg.seed, DOMAIN_CLIENT, 1, cid)]
+            ).updates[0]
             for cid in sorted(cohort)
         ]
         start = {b.name: b.value.array.copy() for b in state.params.all_blocks()}
@@ -632,23 +636,26 @@ seed = 10
         tmp_path / "b" / "metrics.csv"
     ).read_bytes()
 
+    # run_training trains each cohort in lockstep; replaying its rounds one
+    # client at a time must give the same bits
     cfg = parse_config_text(cfg_text)
     ds, _ = generate_hierarchical(cfg.gen)
-    seq = run_training(cfg.train, cfg.arch, ds)
+    lockstep = run_training(cfg.train, cfg.arch, ds)
     ds2, _ = generate_hierarchical(cfg.gen)
-    par = run_training(cfg.train, cfg.arch, ds2, parallel=True)
-    parallel_same = all(
+    alone_state, alone_losses = replay_rounds(cfg.train, cfg.arch, ds2)
+    lockstep_same = all(
         np.array_equal(a.value.array, b.value.array)
-        for a, b in zip(seq.state.params.all_blocks(), par.state.params.all_blocks())
-    ) and [r.loss_sum for r in seq.reports] == [r.loss_sum for r in par.reports]
-    ok = byte_identical and parallel_same
+        for a, b in zip(lockstep.state.params.all_blocks(), alone_state.params.all_blocks())
+    ) and [r.loss_sum for r in lockstep.reports] == alone_losses
+    ok = byte_identical and lockstep_same
     report(
         "10 determinism",
         ok,
-        f"metrics byte-identical: {byte_identical}; parallel == sequential: {parallel_same}",
+        f"metrics byte-identical: {byte_identical}; "
+        f"lockstep cohort == one client at a time: {lockstep_same}",
     )
     assert byte_identical
-    assert parallel_same
+    assert lockstep_same
 
 
 # -- criterion 11: IID degeneracy ---------------------------------------------

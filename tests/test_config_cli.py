@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from fedvi import cli
+from fedvi import cli, federation
 from fedvi.cli import load_params, main, read_metrics, save_params
 from fedvi.config import ConfigError, parse_config_text
 from fedvi.model import init_params
@@ -352,6 +352,31 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert re.search(r"numeric failure: round \d+, client \d+, batch \d+: ", err), err
+
+    @pytest.mark.parametrize("stage", ["server_apply", "evaluate"])
+    def test_numeric_failure_after_local_training_names_round(
+        self, stage, tmp_path, capsys, monkeypatch
+    ):
+        # round 2's server update, or its evaluation (the first, with
+        # eval_every = 2), turns non-finite
+        original = getattr(federation, stage)
+
+        def server_apply(state, deltas, weights, cfg):
+            if state.round_index == 1:
+                deltas = [{k: np.full_like(d, np.nan) for k, d in dl.items()} for dl in deltas]
+            return original(state, deltas, weights, cfg)
+
+        def evaluate(params, clients, cfg, rng=None):
+            params.theta_post[-1].value.array[...] = np.nan
+            return original(params, clients, cfg, rng)
+
+        wrappers = {"server_apply": server_apply, "evaluate": evaluate}
+        monkeypatch.setattr(federation, stage, wrappers[stage])
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"numeric failure: round 2: \S", err), err
 
     def test_missing_params_file(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -27,13 +27,13 @@ from conftest import max_rel_err
 
 def scipy_log_ratio(x: np.ndarray, q: DiagGaussian, p: DiagGaussian) -> np.ndarray:
     """Independent log q(x) - log p(x) built on scipy densities."""
-    lq = stats.norm.logpdf(x, loc=q.mean_array(), scale=q.scale_array()).sum(axis=1)
-    lp = stats.norm.logpdf(x, loc=p.mean_array(), scale=p.scale_array()).sum(axis=1)
+    lq = stats.norm.logpdf(x, loc=q.mean, scale=q.scale).sum(axis=1)
+    lp = stats.norm.logpdf(x, loc=p.mean, scale=p.scale).sum(axis=1)
     return lq - lp
 
 
 def mc_with_se(q: DiagGaussian, p: DiagGaussian, n: int, rng) -> tuple[float, float]:
-    x = q.mean_array() + q.scale_array() * rng.standard_normal((n, q.dim))
+    x = q.mean + q.scale * rng.standard_normal((n, q.dim))
     ratios = scipy_log_ratio(x, q, p)
     return float(ratios.mean()), float(ratios.std(ddof=1) / math.sqrt(n))
 
@@ -129,7 +129,7 @@ class TestSampleReparam:
     def test_zero_noise_gives_mean(self, rng):
         q = DiagGaussian.from_arrays(rng.uniform(-2, 2, 5), rng.uniform(0.1, 2, 5))
         out = sample_reparam(q, np.zeros(5))
-        assert np.array_equal(out, q.mean_array())
+        assert np.array_equal(out, q.mean)
 
     def test_standard_gaussian_is_identity(self, rng):
         z = rng.standard_normal(6)
@@ -141,8 +141,8 @@ class TestSampleReparam:
         draws = np.stack(
             [sample_reparam(q, rng.standard_normal(2)) for _ in range(100_000)]
         )
-        assert np.all(np.abs(draws.mean(0) / q.mean_array() - 1.0) < 0.01)
-        assert np.all(np.abs(draws.std(0) / q.scale_array() - 1.0) < 0.01)
+        assert np.all(np.abs(draws.mean(0) / q.mean - 1.0) < 0.01)
+        assert np.all(np.abs(draws.std(0) / q.scale - 1.0) < 0.01)
 
     def test_dimension_mismatch(self):
         with pytest.raises(nn.ShapeMismatchError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedvi import federation, nn
 from fedvi.datagen import ClientDataset, GenConfig, generate_hierarchical
 from fedvi.datagen import softmax_rows
 from fedvi.federation import (
@@ -17,10 +18,10 @@ from fedvi.federation import (
     sample_cohort,
     server_apply,
 )
-from fedvi.model import ArchConfig, init_params
+from fedvi.model import ArchConfig, forward_batch, global_branch_logits, init_params
 from fedvi.seeding import DOMAIN_CLIENT, substream
 
-from conftest import small_arch
+from conftest import replay_rounds, small_arch
 
 
 def make_ds(seed=3, c=8, holdout=2, n=(40, 60), d=5, k=3, sigma_beta=1.0, shift=0.5):
@@ -30,6 +31,12 @@ def make_ds(seed=3, c=8, holdout=2, n=(40, 60), d=5, k=3, sigma_beta=1.0, shift=
     )
     ds, _ = generate_hierarchical(cfg)
     return ds
+
+
+def update_alone(params, client, cfg, rng):
+    """The client's update from a cohort of one, or None when it is skipped."""
+    cohort = client_update(params, [client], cfg, [rng])
+    return cohort.updates[0] if cohort.updates else None
 
 
 def make_cfg(**overrides) -> TrainConfig:
@@ -79,7 +86,7 @@ class TestClientUpdate:
     def test_zero_learning_rate_gives_zero_delta(self, rng):
         ds = make_ds()
         params = init_params(small_arch(), rng)
-        update = client_update(
+        update = update_alone(
             params, ds.clients[2], make_cfg(client_lr=0.0), substream(1, 0)
         )
         assert update is not None
@@ -121,7 +128,7 @@ class TestClientUpdate:
             "embed.0.b": d_rep.sum(axis=0),
         }
 
-        update = client_update(params, client, cfg, stream)
+        update = update_alone(params, client, cfg, stream)
         for name, g in grads.items():
             assert np.max(np.abs(update.delta[name] - cfg.client_lr * g)) < 1e-10
 
@@ -129,21 +136,22 @@ class TestClientUpdate:
         ds = make_ds()
         params = init_params(small_arch(), rng)
         cfg = make_cfg()
-        u1 = client_update(params, ds.clients[3], cfg, substream(9, 4))
-        u2 = client_update(params, ds.clients[3], cfg, substream(9, 4))
+        u1 = update_alone(params, ds.clients[3], cfg, substream(9, 4))
+        u2 = update_alone(params, ds.clients[3], cfg, substream(9, 4))
         assert all(np.array_equal(u1.delta[k], u2.delta[k]) for k in u1.delta)
         assert u1.loss_sum == u2.loss_sum
 
     def test_degenerate_client_is_skipped(self, rng):
         params = init_params(small_arch(), rng)
         tiny = ClientDataset(0, rng.standard_normal((3, 5)), np.zeros(3, np.int64), 1)
-        assert client_update(params, tiny, make_cfg(), substream(0, 0)) is None
+        result = client_update(params, [tiny], make_cfg(), [substream(0, 0)])
+        assert (result.updates, result.skipped, result.steps) == ([], 1, 0)
 
     def test_statelessness_copies_globals(self, rng):
         ds = make_ds()
         params = init_params(small_arch(), rng)
         before = {b.name: b.value.array.copy() for b in params.all_blocks()}
-        client_update(params, ds.clients[2], make_cfg(), substream(2, 2))
+        client_update(params, [ds.clients[2]], make_cfg(), [substream(2, 2)])
         for b in params.all_blocks():
             assert np.array_equal(b.value.array, before[b.name])
 
@@ -153,7 +161,7 @@ class TestServerApply:
         ds = make_ds()
         cfg = make_cfg(server_lr=1.0, server_momentum=0.0)
         state = init_server(small_arch(), cfg.seed)
-        update = client_update(state.params, ds.clients[2], cfg, substream(3, 1))
+        update = update_alone(state.params, ds.clients[2], cfg, substream(3, 1))
         finals = {
             name: state.params.block(name).value.array - delta
             for name, delta in update.delta.items()
@@ -327,12 +335,14 @@ class TestRunTraining:
             assert np.array_equal(b1.value.array, b2.value.array)
 
     def test_parallel_equals_sequential(self):
+        # run_training trains each cohort in lockstep; a replay that trains
+        # one client at a time must give the same bits
         ds = make_ds()
         cfg = make_cfg(rounds=4)
-        seq = run_training(cfg, small_arch(), ds, parallel=False)
-        par = run_training(cfg, small_arch(), ds, parallel=True)
-        assert [r.loss_sum for r in seq.reports] == [r.loss_sum for r in par.reports]
-        for b1, b2 in zip(seq.state.params.all_blocks(), par.state.params.all_blocks()):
+        seq_state, seq_losses = replay_rounds(cfg, small_arch(), ds)
+        par = run_training(cfg, small_arch(), ds)
+        assert seq_losses == [r.loss_sum for r in par.reports]
+        for b1, b2 in zip(seq_state.params.all_blocks(), par.state.params.all_blocks()):
             assert np.array_equal(b1.value.array, b2.value.array)
 
     def test_holdout_clients_never_train(self):
@@ -387,6 +397,110 @@ class TestEvaluateTailBatches:
         res = evaluate(params, [client], make_cfg(batch_size=16))
         assert res.accuracy == 1.0
         assert res.excluded == 0
+
+
+def ragged_clients(rng, arch, train_sizes, test_sizes):
+    clients = []
+    for k, (n_train, n_test) in enumerate(zip(train_sizes, test_sizes)):
+        n = n_train + n_test
+        x = rng.standard_normal((n, arch.input_dim))
+        y = rng.integers(0, arch.num_classes, n)
+        clients.append(ClientDataset(10 + k, x, y, split=n_train))
+    return clients
+
+
+# With batch size 8: tails of 3, 2 (a client of two examples), 5 and 5, a
+# trailing single example that is dropped, no tail, and a client of one
+# example, which is skipped.
+RAGGED_TRAIN = [19, 2, 21, 1, 13, 17, 16]
+
+
+class TestLockstepCohort:
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    @pytest.mark.parametrize("local_epochs", [1, 2])
+    def test_cohort_equals_one_client_cohorts(self, algorithm, local_epochs, monkeypatch):
+        arch = small_arch()
+        clients = ragged_clients(substream(41, 0), arch, RAGGED_TRAIN, [4] * 7)
+        cfg = make_cfg(
+            batch_size=8, local_epochs=local_epochs, algorithm=algorithm, client_lr=0.05
+        )
+        params = init_params(arch, substream(41, 1))
+
+        def rngs():
+            return [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in clients]
+
+        stacked_steps = []
+        backward = nn.backward
+        monkeypatch.setattr(nn, "backward", lambda loss: stacked_steps.append(1) or backward(loss))
+        cohort = client_update(params, clients, cfg, rngs())
+        monkeypatch.undo()
+        alone = [update_alone(params, c, cfg, r) for c, r in zip(clients, rngs())]
+        alone = [u for u in alone if u is not None]
+
+        assert cohort.skipped == 1
+        assert cohort.steps == sum(u.steps for u in alone)
+        assert len(stacked_steps) < cohort.steps  # clients did share steps
+        assert [u.client_id for u in cohort.updates] == [u.client_id for u in alone]
+        for got, want in zip(cohort.updates, alone):
+            assert got.steps == want.steps and got.weight == want.weight
+            assert (got.mean_loss, got.loss_sum, got.nll_sum, got.reg_sum, got.kl_raw_sum) == (
+                want.mean_loss, want.loss_sum, want.nll_sum, want.reg_sum, want.kl_raw_sum
+            )
+            assert got.delta.keys() == want.delta.keys()
+            for name in want.delta:
+                assert np.array_equal(got.delta[name], want.delta[name]), name
+            assert any(np.any(d != 0.0) for d in got.delta.values())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_names_first_failing_client_of_earliest_step(self):
+        # cohort order: a client that fails at batch 1, two that fail at
+        # batch 0 in different stacked groups (8 and 5 rows), a healthy one
+        arch = small_arch()
+        clients = ragged_clients(substream(42, 0), arch, [24, 5, 16, 16], [0] * 4)
+        cfg = make_cfg(batch_size=8)
+        rngs = [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in clients]
+        for client, batch in [(clients[0], 1), (clients[1], 0), (clients[2], 0)]:
+            perm = substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id).permutation(
+                client.n_train
+            )
+            client.x[perm[8 * batch : 8 * batch + 8]] = 1e308
+        params = init_params(arch, substream(42, 1))
+        with pytest.raises(nn.NonFiniteError) as info:
+            client_update(params, clients, cfg, rngs)
+        assert info.value.context == {"client": clients[1].client_id, "batch": 0}
+
+
+class TestStackedEvaluate:
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    @pytest.mark.parametrize("stack_rows", [federation.EVAL_STACK_ROWS, 16])
+    def test_equals_per_batch_scoring(self, algorithm, stack_rows, monkeypatch):
+        # batch size 8: a size-1 tail (17 test examples, skipped), a client
+        # with one test example (excluded), tails of 5, equal test set sizes
+        monkeypatch.setattr(federation, "EVAL_STACK_ROWS", stack_rows)
+        arch = small_arch()
+        clients = ragged_clients(substream(43, 0), arch, [3] * 6, [17, 1, 13, 21, 6, 13])
+        cfg = make_cfg(batch_size=8, algorithm=algorithm)
+        params = init_params(arch, substream(43, 1))
+        per_client = []
+        for client in clients:
+            x, y = client.test_arrays()
+            correct = seen = 0
+            if algorithm == "fedavg" and y.size >= 2:
+                correct = int((global_branch_logits(params, x).argmax(axis=1) == y).sum())
+                seen = y.size
+            for start in range(0, y.size if algorithm == "fedvi" else 0, cfg.batch_size):
+                xb, yb = x[start : start + 8], y[start : start + 8]
+                if yb.size < 2:
+                    continue
+                fwd = forward_batch(params, xb)
+                logits = fwd.logits_for(fwd.stats.q.mean)
+                correct += int((logits.argmax(axis=1) == yb[fwd.support_size :]).sum())
+                seen += yb.size - fwd.support_size
+            if seen:
+                per_client.append((correct / seen, y.size))
+        res = evaluate(params, clients, cfg)
+        assert res.excluded == 1 == len(clients) - len(per_client)
+        assert res.accuracy == _accuracy_weighted(per_client)
 
 
 class TestTrainConfigValidation:

@@ -110,8 +110,8 @@ class TestConstructPosterior:
         support = rng.standard_normal((6, arch.global_dim))
         stats = construct_posterior(params, support)
         sigma0 = glorot_scale(arch.local_dim, arch.num_classes)
-        assert np.array_equal(stats.q.mean_array(), np.zeros(arch.beta_dim))
-        assert np.allclose(stats.q.scale_array(), arch.scale_floor + sigma0, atol=0)
+        assert np.array_equal(stats.q.mean, np.zeros(arch.beta_dim))
+        assert np.allclose(stats.q.scale, arch.scale_floor + sigma0, atol=0)
         assert np.array_equal(stats.b_beta, np.zeros(arch.num_classes))
 
     def test_random_init_stays_near_prior(self):
@@ -123,9 +123,9 @@ class TestConstructPosterior:
             params = init_params(arch, r)
             support = r.standard_normal((8, arch.global_dim))
             stats = construct_posterior(params, support)
-            worst_mu = max(worst_mu, np.abs(stats.q.mean_array()).max())
+            worst_mu = max(worst_mu, np.abs(stats.q.mean).max())
             worst_sigma = max(
-                worst_sigma, np.abs(stats.q.scale_array() - sigma0).max() / sigma0
+                worst_sigma, np.abs(stats.q.scale - sigma0).max() / sigma0
             )
         assert worst_mu < 0.05
         assert worst_sigma < 0.05
@@ -137,8 +137,8 @@ class TestConstructPosterior:
         a = construct_posterior(tiny_params, rows)
         b = construct_posterior(tiny_params, doubled)
         # row means of duplicated rows agree up to summation order (~1 ulp)
-        assert np.allclose(a.q.mean_array(), b.q.mean_array(), rtol=1e-14, atol=1e-16)
-        assert np.allclose(a.q.scale_array(), b.q.scale_array(), rtol=1e-14, atol=0)
+        assert np.allclose(a.q.mean, b.q.mean, rtol=1e-14, atol=1e-16)
+        assert np.allclose(a.q.scale, b.q.scale, rtol=1e-14, atol=0)
         assert np.allclose(a.b_beta, b.b_beta, rtol=1e-14, atol=1e-16)
 
     def test_scale_floor_is_respected(self, rng):
@@ -148,7 +148,7 @@ class TestConstructPosterior:
         params.theta_post[-1].value.array[...] = -50.0
         support = rng.standard_normal((4, arch.global_dim))
         stats = construct_posterior(params, support)
-        assert np.all(stats.q.scale_array() >= arch.scale_floor)
+        assert np.all(stats.q.scale >= arch.scale_floor)
 
     def test_gradients_reach_the_constructor(self, rng):
         # loss = sum(mu) + sum(sigma) + sum(b_beta), pulled back by hand
@@ -317,8 +317,8 @@ class TestMinibatchLoss:
         x2[support] = x[support][rng.permutation(support.size)]
         a = forward_batch(tiny_params, x).stats
         b = forward_batch(tiny_params, x2).stats
-        assert np.max(np.abs(a.q.mean_array() - b.q.mean_array())) < 1e-12
-        assert np.max(np.abs(a.q.scale_array() - b.q.scale_array())) < 1e-12
+        assert np.max(np.abs(a.q.mean - b.q.mean)) < 1e-12
+        assert np.max(np.abs(a.q.scale - b.q.scale)) < 1e-12
         assert np.max(np.abs(a.b_beta - b.b_beta)) < 1e-12
 
     def test_frozen_noise_is_deterministic(self, tiny_params, rng):
@@ -376,6 +376,18 @@ class TestHandDerivedBackwardEdges:
         with_kl = nn.backward(minibatch_loss(params, x, y, 1e-3, noise)[0])
         assert any(not np.array_equal(grads[k], with_kl[k]) for k in grads)
 
+    def test_backward_results_are_not_aliased(self):
+        rng = substream(2025, 13)
+        arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
+        params = randomized_params(arch, rng)
+        x, y, noise = batch_for(arch, rng)
+        first = nn.backward(minibatch_loss(params, x, y, 0.0, noise)[0])
+        kept = {k: g.copy() for k, g in first.items()}
+        second = nn.backward(minibatch_loss(params, x, y, 0.5, noise)[0])
+        assert all(np.array_equal(first[k], kept[k]) for k in kept)
+        assert any(not np.array_equal(first[k], second[k]) for k in kept)
+        assert all(np.array_equal(params.block(k).grad.array, second[k]) for k in second)
+
     def test_scale_pinned_at_floor(self):
         rng = substream(2025, 11)
         arch = small_arch(mean_damp=1.0, logscale_damp=1.0, scale_floor=1e-3)
@@ -386,7 +398,7 @@ class TestHandDerivedBackwardEdges:
         params.theta_post[-1].value.array[m : 2 * m] = -100.0
         x, y, noise = batch_for(arch, rng)
         stats = forward_batch(params, x).stats
-        assert np.all(stats.q.scale_array() == arch.scale_floor)
+        assert np.all(stats.q.scale == arch.scale_floor)
         grads, errs = fd_errors(params, lambda: minibatch_loss(params, x, y, 0.3, noise)[0])
         assert all(np.all(np.isfinite(g)) for g in grads.values())
         assert max(errs.values()) < 1e-4, errs
@@ -432,3 +444,45 @@ class TestArchConfig:
     def test_support_fraction_bounds(self):
         with pytest.raises(ValueError):
             small_arch(support_fraction=1.0)
+
+
+def client_row(stacked, row: int):
+    """Row ``row`` of stacked parameters as one client's own parameters."""
+    alone = init_params(stacked.arch, substream(0, 0))
+    for block, src in zip(alone.all_blocks(), stacked.all_blocks()):
+        block.value.array[...] = src.value.array[row].reshape(block.shape)
+    return alone
+
+
+class TestStackedBatches:
+    @pytest.mark.parametrize("loss_fn", ["fedvi", "fedavg"])
+    def test_each_row_equals_its_batch_alone(self, loss_fn):
+        # rows of stacked parameters that differ, each on its own batch: the
+        # stacked loss parts and gradients are those of the 2-D calls, bit
+        # for bit, and the fused node's value is the sum of the losses
+        rng = substream(2026, 1)
+        arch = small_arch()
+        params = randomized_params(arch, rng)
+        stacked = params.stacked(3)
+        for block in stacked.all_blocks():
+            block.value.array[...] += rng.uniform(-0.1, 0.1, block.shape)
+        batches = [batch_for(arch, rng, batch=7) for _ in range(3)]
+        x, y, noise = (np.stack(parts) for parts in zip(*batches))
+        if loss_fn == "fedvi":
+            loss, parts = minibatch_loss(stacked, x, y, 0.3, noise)
+        else:
+            loss, parts = global_branch_loss(stacked, x, y)
+        grads = nn.backward(loss)
+        assert loss.item() == parts.loss.sum()
+        for row, (xb, yb, nb) in enumerate(batches):
+            alone = client_row(stacked, row)
+            if loss_fn == "fedvi":
+                one_loss, one_parts = minibatch_loss(alone, xb, yb, 0.3, nb)
+            else:
+                one_loss, one_parts = global_branch_loss(alone, xb, yb)
+            one = nn.backward(one_loss)
+            assert parts.loss[row] == one_loss.item()
+            assert (parts.nll[row], parts.kl[row]) == (one_parts.nll, one_parts.kl)
+            assert grads.keys() == one.keys()
+            for name, g in one.items():
+                assert np.array_equal(grads[name][row].reshape(g.shape), g), name
