@@ -15,13 +15,22 @@ non-normalized global prior.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import FederatedDataset, GenConfig, GroundTruth, generate_hierarchical, softmax_rows
+from .datagen import (
+    FederatedDataset,
+    GenConfig,
+    GroundTruth,
+    _sample_categorical_rows,
+    generate_hierarchical,
+    softmax_rows,
+)
 from .distributions import DiagGaussian, kl_diag, standard_prior
 from .federation import TrainConfig, iter_local_batches
 from .model import FedVIParams, embed, forward_batch, minibatch_loss, predict_logits, split_features
@@ -169,14 +178,25 @@ def draw_client_inputs(
     return x, probs
 
 
-def _sample_labels(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(probs, axis=1)
-    return (rng.random(probs.shape[0])[:, None] > cum).sum(axis=1).astype(np.int64)
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """log(sum(exp(z))) over the last axis, shifted by its max.
+
+    Every risk below goes through it: the NLL of label y is lse(z) - z[y],
+    the expected NLL under label probabilities p is lse(z) - p.z, and the
+    log of a mean of probabilities is a log-mean-exp of log-probabilities,
+    finite where a probability underflows. The axis is short (classes or
+    draws), so it is walked column by column: a numpy reduction over a
+    short last axis loops per row and is about three times slower.
+    """
+    cols = [z[..., j] for j in range(z.shape[-1])]
+    peak = functools.reduce(np.maximum, cols)
+    return peak + np.log(sum(np.exp(c - peak) for c in cols))
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _per_draw(draws: int, *features: np.ndarray) -> list[np.ndarray]:
+    """Query features as read-only views with a leading axis of ``draws``,
+    so that one ``predict_logits`` call scores every posterior draw."""
+    return [np.broadcast_to(f, (draws, *f.shape)) for f in features]
 
 
 def estimate_slack(
@@ -214,18 +234,17 @@ def estimate_slack(
         ).reshape(n_prior_samples, cfg.d, k_classes)
         x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
         x_data, p_data = draw_client_inputs(task, k, n_data_draws * n_k, rng)
-        y_data = _sample_labels(p_data, rng)
+        y_data = _sample_categorical_rows(p_data, rng)
         m = x_data.shape[0]
         for s0 in range(0, n_prior_samples, chunk):
             mats = task.truth.theta + betas[s0 : s0 + chunk]  # [S, d, K]
             s = mats.shape[0]
             stacked = np.transpose(mats, (1, 0, 2)).reshape(cfg.d, s * k_classes)
-            logp_pool = _log_softmax((x_pool @ stacked).reshape(-1, s, k_classes))
-            r_true[s0 : s0 + s] += n_k * -(
-                (p_pool[:, None, :] * logp_pool).sum(axis=2).mean(axis=0)
-            )
-            logp_data = _log_softmax((x_data @ stacked).reshape(m, s, k_classes))
-            nll = -logp_data[np.arange(m)[:, None], np.arange(s)[None, :], y_data[:, None]]
+            z_pool = (x_pool @ stacked).reshape(-1, s, k_classes)
+            pool_risk = _logsumexp(z_pool) - np.einsum("pk,psk->ps", p_pool, z_pool)
+            r_true[s0 : s0 + s] += n_k * pool_risk.mean(axis=0)
+            z_data = (x_data @ stacked).reshape(m, s, k_classes)
+            nll = _logsumexp(z_data) - z_data[np.arange(m), :, y_data]
             r_emp[s0 : s0 + s] += nll.reshape(n_data_draws, n_k, s).sum(axis=1).T
     gaps = eta * (r_true[:, None] - r_emp)
     return scaled_log_moment(gaps, delta)
@@ -242,26 +261,36 @@ class BoundCheckResult:
     kl_values: list[float] = field(default_factory=list)
 
 
+ClientAudit = namedtuple("ClientAudit", "b_beta beta_draws n_query gibbs_nll kl")
+
+
 def client_posterior_audit(
     params: FedVIParams,
     x: np.ndarray,
     y: np.ndarray,
-    n_samples: int,
+    cfg: PacBayesConfig,
     rng: np.random.Generator,
-):
-    """One audit batch: posterior, sampled local weights, query Gibbs NLL."""
+) -> ClientAudit:
+    """One client's audit batch, its first ``AUDIT_BATCH_SIZE`` rows.
+
+    Rebuilds the posterior from the unlabeled support half and returns its
+    per-class logit bias ``b_beta``, ``cfg.posterior_samples`` local-weight
+    draws [S x m], the query count, the query NLL summed over the query
+    and averaged over the draws (Gibbs), and the KL to ``cfg.prior`` (the
+    architecture's prior when that is None).
+    """
     batch = min(x.shape[0], AUDIT_BATCH_SIZE)
     fwd = forward_batch(params, x[:batch])
     q = fwd.stats.q
-    mu, sig = q.mean, q.scale
-    beta_draws = mu + sig * rng.standard_normal((n_samples, q.dim))
+    beta_draws = q.mean + q.scale * rng.standard_normal((cfg.posterior_samples, q.dim))
     y_query = y[fwd.support_size : batch]
-    nll_sum = 0.0
-    for b in beta_draws:
-        logits = fwd.logits_for(b)
-        logp = _log_softmax(logits)
-        nll_sum += float(-logp[np.arange(y_query.size), y_query].sum())
-    return fwd, beta_draws, y_query.size, nll_sum / n_samples
+    features = _per_draw(cfg.posterior_samples, fwd.query_global, fwd.query_local)
+    logits = predict_logits(params, beta_draws, fwd.stats.b_beta, *features)  # [S x Q x K]
+    nll = _logsumexp(logits) - logits[:, np.arange(y_query.size), y_query]
+    gibbs_nll = float(nll.sum()) / cfg.posterior_samples
+    prior = cfg.prior if cfg.prior is not None else params.arch.prior
+    kl = float(kl_diag(q, prior))
+    return ClientAudit(fwd.stats.b_beta, beta_draws, y_query.size, gibbs_nll, kl)
 
 
 def bound_holds_check(
@@ -270,61 +299,43 @@ def bound_holds_check(
     cfg: PacBayesConfig,
     trials: int,
     rng: np.random.Generator,
-    slack: float | None = None,
+    slack: float,
 ) -> BoundCheckResult:
     """Fraction of fresh-dataset trials on which RHS >= true risk.
 
     Per trial: draw a fresh dataset from the task's client processes,
-    rebuild each client's posterior from its own unlabeled support half,
-    take the Gibbs empirical risk on the query points, the summed KL to
-    the prior, and compare against the Monte-Carlo true risk of the
-    posterior-averaged predictive on fresh inputs (exact inner expectation
-    over labels). The slack term is shared across trials; when not
-    supplied it is estimated once with ``estimate_slack`` under the
-    generator's own prior.
+    audit each client (``client_posterior_audit``: Gibbs empirical risk on
+    its query points, KL to the prior), and compare the bound against the
+    Monte-Carlo true risk of the posterior-averaged predictive on fresh
+    inputs (exact inner expectation over labels). ``slack`` is the
+    delta-scaled log-moment term that ``estimate_slack`` returns, shared
+    across trials.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    if slack is None:
-        slack = estimate_slack(
-            task,
-            generator_prior(task),
-            cfg.eta,
-            cfg.delta,
-            cfg.slack_samples,
-            cfg.slack_samples,
-            rng,
-        )
     result = BoundCheckResult(holding_fraction=1.0, trials=trials, slack=slack)
     if trials == 0:
         return result
-    arch = params.arch
-    prior = cfg.prior if cfg.prior is not None else arch.prior
+    draws = cfg.posterior_samples
     eval_points = max(2, math.ceil(10_000 / task.cfg.c))
     holds = 0
     for _ in range(trials):
-        emp = 0.0
-        kl_total = 0.0
-        true = 0.0
+        emp = kl_total = true = 0.0
         for k in range(task.cfg.c):
-            n_k = task.n_per_client[k]
-            x, probs = draw_client_inputs(task, k, n_k, rng)
-            y = _sample_labels(probs, rng)
-            fwd, beta_draws, n_query, gibbs_nll = client_posterior_audit(
-                params, x, y, cfg.posterior_samples, rng
-            )
-            emp += gibbs_nll
-            kl_total += float(kl_diag(fwd.stats.q, prior))
+            x, probs = draw_client_inputs(task, k, task.n_per_client[k], rng)
+            y = _sample_categorical_rows(probs, rng)
+            audit = client_posterior_audit(params, x, y, cfg, rng)
+            emp += audit.gibbs_nll
+            kl_total += audit.kl
 
             x_eval, p_eval = draw_client_inputs(task, k, eval_points, rng)
-            rep = embed(params, x_eval)
-            g_eval, l_eval = split_features(arch, rep)
-            predictive = np.zeros((eval_points, task.cfg.num_classes))
-            for b in beta_draws:
-                logits = predict_logits(params, b, fwd.stats.b_beta, g_eval, l_eval)
-                predictive += softmax_rows(logits)
-            predictive /= beta_draws.shape[0]
-            true += n_query * float(-(p_eval * np.log(predictive)).sum(axis=1).mean())
+            g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
+            features = _per_draw(draws, g_eval, l_eval)
+            logits = predict_logits(params, audit.beta_draws, audit.b_beta, *features)
+            log_probs = logits - _logsumexp(logits)[..., None]
+            # log of the predictive averaged over the S draws of [S x P x K]
+            log_predictive = _logsumexp(np.moveaxis(log_probs, 0, -1)) - math.log(draws)
+            true += audit.n_query * float(-(p_eval * log_predictive).sum(axis=1).mean())
         rhs = pacbayes_rhs(emp, kl_total, cfg.eta, cfg.delta, slack - math.log(1.0 / cfg.delta))
         if rhs >= true:
             holds += 1

@@ -30,7 +30,6 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .distributions import kl_diag
 from .federation import RunResult, evaluate, run_training
 from .model import ArchConfig, FedVIParams, ParamBlock
 from .nn import NonFiniteError
@@ -373,15 +372,11 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
         )
     rng = substream(cfg.seed, DOMAIN_BOUND)
 
-    prior = params.arch.prior
-    emp = 0.0
-    kl_total = 0.0
-    for client in ds.clients:
-        fwd, _, _, gibbs = bounds_mod.client_posterior_audit(
-            params, client.x, client.y, cfg.pac.posterior_samples, rng
-        )
-        emp += gibbs
-        kl_total += float(kl_diag(fwd.stats.q, prior))
+    audits = [
+        bounds_mod.client_posterior_audit(params, c.x, c.y, cfg.pac, rng) for c in ds.clients
+    ]
+    emp = sum(a.gibbs_nll for a in audits)
+    kl_total = sum(a.kl for a in audits)
 
     slack_scaled = bounds_mod.estimate_slack(
         task,

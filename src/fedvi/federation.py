@@ -35,7 +35,7 @@ from .model import (
     init_params,
     minibatch_loss,
 )
-from .seeding import DOMAIN_CLIENT, DOMAIN_COHORT, DOMAIN_EVAL, DOMAIN_INIT, substream
+from .seeding import DOMAIN_CLIENT, DOMAIN_COHORT, DOMAIN_INIT, substream
 
 ALGORITHMS = ("fedvi", "fedavg")
 
@@ -333,7 +333,6 @@ def evaluate(
     params: FedVIParams,
     clients: list[ClientDataset],
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
 ) -> EvalResult:
     """Weighted test accuracy, weights proportional to local test set sizes.
 
@@ -454,12 +453,11 @@ def run_training(
             part_acc = nonpart_acc = None
             eval_excluded = 0
             if round_index % cfg.eval_every == 0 or round_index == cfg.rounds:
-                eval_rng = substream(cfg.seed, DOMAIN_EVAL, round_index)
-                part = evaluate(state.params, participating, cfg, eval_rng)
+                part = evaluate(state.params, participating, cfg)
                 part_acc = part.accuracy
                 eval_excluded = part.excluded
                 if holdout:
-                    nonpart = evaluate(state.params, holdout, cfg, eval_rng)
+                    nonpart = evaluate(state.params, holdout, cfg)
                     nonpart_acc = nonpart.accuracy
                     eval_excluded += nonpart.excluded
         except nn.NonFiniteError as exc:

@@ -143,23 +143,18 @@ def _coerce(value) -> Tensor:
 
 
 class ParamBlock:
-    """A named trainable array and its gradient slot (same shape).
+    """A named trainable array."""
 
-    ``backward`` overwrites ``grad`` on every call, so calling it twice on
-    the same loss yields identical results.
-    """
-
-    __slots__ = ("name", "value", "grad", "__weakref__")
+    __slots__ = ("name", "value", "__weakref__")
 
     def __init__(self, name: str, value) -> None:
         arr = _as_array(value).copy()
         assert_all_finite(arr, f"parameter {name!r}")
-        self._bind(name, arr, np.zeros(arr.shape))
+        self._bind(name, arr)
 
-    def _bind(self, name: str, arr: np.ndarray, grad: np.ndarray) -> None:
+    def _bind(self, name: str, arr: np.ndarray) -> None:
         self.name = name
         self.value = Tensor(arr, requires_grad=True, param=weakref.ref(self))
-        self.grad = Tensor(grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -167,10 +162,10 @@ class ParamBlock:
 
     def rows(self, sel) -> "ParamBlock":
         """The block's rows ``sel`` (along the first axis) as a block of
-        their own, value and gradient slot alike: views of this block's
-        arrays for a slice, copies for an index array."""
+        their own: a view of this block's array for a slice, a copy for an
+        index array."""
         block = ParamBlock.__new__(ParamBlock)
-        block._bind(self.name, self.value.array[sel], self.grad.array[sel])
+        block._bind(self.name, self.value.array[sel])
         return block
 
     def __repr__(self) -> str:
@@ -438,9 +433,9 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
     """Reverse-accumulate d(loss)/d(param) for every reachable ParamBlock.
 
     The loss must be scalar. Gradients are returned by name, as arrays of
-    this call that a later call leaves alone, and copied into each block's
-    ``grad`` tensor (overwriting previous contents). Repeated calls on the
-    same graph give identical results.
+    this call that a later call leaves alone; a block the loss does not
+    reach has no entry. Repeated calls on the same graph give identical
+    results.
     """
     if loss.array.size != 1:
         raise ShapeMismatchError(f"backward root must be scalar, got shape {loss.shape}")
@@ -463,9 +458,7 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
         if g is None:
             continue
         if node.param is not None:
-            block = node.param()
-            block.grad.array[...] = g
-            out[block.name] = g
+            out[node.param().name] = g
         if node._push is not None:
             node._push(g, sink)
     return out

