@@ -101,7 +101,6 @@ class PacBayesConfig:
     eta: float
     delta: float
     slack_samples: int
-    prior: DiagGaussian | None = None  # over local weights; arch prior when None
     posterior_samples: int = 16
 
     def __post_init__(self) -> None:
@@ -193,12 +192,6 @@ def _logsumexp(z: np.ndarray) -> np.ndarray:
     return peak + np.log(sum(np.exp(c - peak) for c in cols))
 
 
-def _per_draw(draws: int, *features: np.ndarray) -> list[np.ndarray]:
-    """Query features as read-only views with a leading axis of ``draws``,
-    so that one ``predict_logits`` call scores every posterior draw."""
-    return [np.broadcast_to(f, (draws, *f.shape)) for f in features]
-
-
 def estimate_slack(
     task: SyntheticTask,
     prior: DiagGaussian,
@@ -276,20 +269,19 @@ def client_posterior_audit(
     Rebuilds the posterior from the unlabeled support half and returns its
     per-class logit bias ``b_beta``, ``cfg.posterior_samples`` local-weight
     draws [S x m], the query count, the query NLL summed over the query
-    and averaged over the draws (Gibbs), and the KL to ``cfg.prior`` (the
-    architecture's prior when that is None).
+    and averaged over the draws (Gibbs), and the KL to the architecture's
+    prior.
     """
     batch = min(x.shape[0], AUDIT_BATCH_SIZE)
     fwd = forward_batch(params, x[:batch])
     q = fwd.stats.q
     beta_draws = q.mean + q.scale * rng.standard_normal((cfg.posterior_samples, q.dim))
     y_query = y[fwd.support_size : batch]
-    features = _per_draw(cfg.posterior_samples, fwd.query_global, fwd.query_local)
-    logits = predict_logits(params, beta_draws, fwd.stats.b_beta, *features)  # [S x Q x K]
+    local = np.broadcast_to(fwd.query_local, (cfg.posterior_samples, *fwd.query_local.shape))
+    logits = predict_logits(params, beta_draws, fwd.stats.b_beta, fwd.query_global, local)
     nll = _logsumexp(logits) - logits[:, np.arange(y_query.size), y_query]
     gibbs_nll = float(nll.sum()) / cfg.posterior_samples
-    prior = cfg.prior if cfg.prior is not None else params.arch.prior
-    kl = float(kl_diag(q, prior))
+    kl = float(kl_diag(q, params.arch.prior))
     return ClientAudit(fwd.stats.b_beta, beta_draws, y_query.size, gibbs_nll, kl)
 
 
@@ -330,8 +322,8 @@ def bound_holds_check(
 
             x_eval, p_eval = draw_client_inputs(task, k, eval_points, rng)
             g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
-            features = _per_draw(draws, g_eval, l_eval)
-            logits = predict_logits(params, audit.beta_draws, audit.b_beta, *features)
+            local = np.broadcast_to(l_eval, (draws, *l_eval.shape))
+            logits = predict_logits(params, audit.beta_draws, audit.b_beta, g_eval, local)
             log_probs = logits - _logsumexp(logits)[..., None]
             # log of the predictive averaged over the S draws of [S x P x K]
             log_predictive = _logsumexp(np.moveaxis(log_probs, 0, -1)) - math.log(draws)

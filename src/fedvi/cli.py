@@ -13,6 +13,7 @@ error, 4 runtime numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import struct
@@ -27,10 +28,11 @@ from .datagen import (
     DatasetVersionError,
     FederatedDataset,
     MalformedDatasetError,
+    _Reader,
     load_dataset,
     save_dataset,
 )
-from .federation import RunResult, evaluate, run_training
+from .federation import ALGORITHMS, RunResult, evaluate, run_training
 from .model import ArchConfig, FedVIParams, ParamBlock
 from .nn import NonFiniteError
 from .seeding import DOMAIN_ABLATION, DOMAIN_BOUND, substream
@@ -52,22 +54,7 @@ class ParamsFormatError(ValueError):
 
 
 def save_params(params: FedVIParams, path) -> None:
-    arch = params.arch
-    arch_json = json.dumps(
-        {
-            "input_dim": arch.input_dim,
-            "embed_widths": list(arch.embed_widths),
-            "local_dim": arch.local_dim,
-            "global_dim": arch.global_dim,
-            "num_classes": arch.num_classes,
-            "posterior_widths": list(arch.posterior_widths),
-            "support_fraction": arch.support_fraction,
-            "mean_damp": arch.mean_damp,
-            "logscale_damp": arch.logscale_damp,
-            "scale_floor": arch.scale_floor,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    arch_json = json.dumps(dataclasses.asdict(params.arch), sort_keys=True).encode("utf-8")
     blocks = params.all_blocks()
     parts = [PARAMS_MAGIC, struct.pack("<I", PARAMS_VERSION)]
     parts.append(struct.pack("<I", len(arch_json)))
@@ -85,52 +72,45 @@ def save_params(params: FedVIParams, path) -> None:
         fh.write(b"".join(parts))
 
 
+def _arch_from_header(text: bytes, path) -> ArchConfig:
+    """The ``ArchConfig`` whose fields a params.bin header lists, one key each."""
+    try:
+        header = json.loads(text)
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        # Older headers carry "dropout_rate"; the model has no dropout, so only 0.0 loads.
+        dropout_rate = header.pop("dropout_rate", 0.0)
+        if dropout_rate != 0.0:
+            raise ValueError(f"dropout_rate {dropout_rate} is no longer supported")
+        names = {f.name for f in dataclasses.fields(ArchConfig)}
+        if set(header) != names:
+            raise ValueError(
+                f"missing keys {sorted(names - set(header))}, "
+                f"unknown keys {sorted(set(header) - names)}"
+            )
+        return ArchConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in header.items()})
+    except (ValueError, TypeError) as exc:
+        raise ParamsFormatError(f"{path}: bad architecture header: {exc}") from exc
+
+
 def load_params(path) -> FedVIParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise ParamsFormatError(f"{path}: parameter file truncated at byte {pos}")
-        out = blob[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4) != PARAMS_MAGIC:
+    r = _Reader(path, ParamsFormatError)
+    if r.take(4) != PARAMS_MAGIC:
         raise ParamsFormatError(f"{path}: not a parameter file (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
+    (version,) = r.unpack("<I")
     if version != PARAMS_VERSION:
         raise ParamsFormatError(f"{path}: version {version}, expected {PARAMS_VERSION}")
-    (arch_len,) = struct.unpack("<I", take(4))
-    arch_dict = json.loads(take(arch_len).decode("utf-8"))
-    # Older headers carry "dropout_rate"; the model has no dropout, so only 0.0 loads.
-    if arch_dict.get("dropout_rate", 0.0) != 0.0:
-        raise ParamsFormatError(
-            f"{path}: dropout_rate {arch_dict['dropout_rate']} is no longer supported"
-        )
-    arch = ArchConfig(
-        input_dim=arch_dict["input_dim"],
-        embed_widths=tuple(arch_dict["embed_widths"]),
-        local_dim=arch_dict["local_dim"],
-        global_dim=arch_dict["global_dim"],
-        num_classes=arch_dict["num_classes"],
-        posterior_widths=tuple(arch_dict["posterior_widths"]),
-        support_fraction=arch_dict["support_fraction"],
-        mean_damp=arch_dict["mean_damp"],
-        logscale_damp=arch_dict["logscale_damp"],
-        scale_floor=arch_dict["scale_floor"],
-    )
-    (n_blocks,) = struct.unpack("<I", take(4))
+    (arch_len,) = r.unpack("<I")
+    arch = _arch_from_header(r.take(arch_len), path)
+    (n_blocks,) = r.unpack("<I")
     blocks = []
     for _ in range(n_blocks):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+        (name_len,) = r.unpack("<I")
+        name = r.take(name_len).decode("utf-8")
+        (ndim,) = r.unpack("<I")
+        shape = r.unpack(f"<{ndim}Q")
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
+        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
         blocks.append(ParamBlock(name, arr))
     embed = [b for b in blocks if b.name.startswith("embed.")]
     post = [b for b in blocks if b.name.startswith("post.")]
@@ -138,6 +118,24 @@ def load_params(path) -> FedVIParams:
     if len(embed) + len(post) + len(cls) != len(blocks) or len(cls) != 2:
         raise ParamsFormatError(f"{path}: unexpected parameter block names")
     return FedVIParams(embed, post, cls, arch)
+
+
+def _load_params_for(cfg: ExperimentConfig, params_path) -> FedVIParams:
+    """Saved parameters, checked against the configured input and class counts."""
+    params = load_params(params_path)
+    trained = (params.arch.input_dim, params.arch.num_classes)
+    if trained != (cfg.arch.input_dim, cfg.arch.num_classes):
+        raise ConfigError(
+            f"params {params_path} were trained for input_dim={trained[0]}, "
+            f"num_classes={trained[1]}; config has {cfg.arch.input_dim}, "
+            f"{cfg.arch.num_classes}"
+        )
+    return params
+
+
+def _provenance(kind: str, cfg: ExperimentConfig) -> list[str]:
+    """A file's '#'-prefixed header: its kind, then the resolved configuration."""
+    return [f"# fedvi {kind} v1"] + [f"# {line}" for line in cfg.provenance_lines()]
 
 
 def _fmt(value) -> str:
@@ -150,9 +148,7 @@ def _fmt(value) -> str:
 
 def write_metrics(result: RunResult, cfg: ExperimentConfig, path) -> None:
     """CSV of evaluated rounds behind a '#'-prefixed provenance header."""
-    lines = ["# fedvi metrics v1"]
-    lines += [f"# {line}" for line in cfg.provenance_lines()]
-    lines.append(METRICS_SCHEMA)
+    lines = _provenance("metrics", cfg) + [METRICS_SCHEMA]
     for r in result.reports:
         if r.part_acc is None:
             continue
@@ -286,18 +282,15 @@ def run_ablation(
     """
     if not taus:
         raise ConfigError("ablation requires a nonempty tau list")
+    if cfg.train.algorithm != "fedvi":
+        raise ConfigError(
+            f"ablation sweeps fedvi's KL weight; train.algorithm is {cfg.train.algorithm!r}"
+        )
     grid = sorted(set(taus) | {0.0})
     ds, _ = _dataset_for(cfg)
     rows: list[tuple[float, float, float, float]] = []
     for i, tau in enumerate(grid):
-        train_cfg = type(cfg.train)(
-            **{
-                **cfg.train.__dict__,
-                "tau": tau,
-                "seed": _ablation_seed(cfg.seed, i),
-                "algorithm": "fedvi",
-            }
-        )
+        train_cfg = dataclasses.replace(cfg.train, tau=tau, seed=_ablation_seed(cfg.seed, i))
         result = run_training(train_cfg, cfg.arch, ds)
         s = result.summary
         row = (tau, s["part_acc"], s["nonpart_acc"], s["gap"])
@@ -313,9 +306,7 @@ def cmd_ablate(cfg: ExperimentConfig, taus: list[float], out_arg: str | None) ->
     path = out / "ablation.csv"
 
     def flush() -> None:
-        lines = ["# fedvi ablation v1"]
-        lines += [f"# {line}" for line in cfg.provenance_lines()]
-        lines.append("tau,part_acc,nonpart_acc,gap")
+        lines = _provenance("ablation", cfg) + ["tau,part_acc,nonpart_acc,gap"]
         for tau, part, nonpart, gap in rows:
             lines.append(f"{_fmt(tau)},{_fmt(part)},{_fmt(nonpart)},{_fmt(gap)}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -337,7 +328,7 @@ def cmd_ablate(cfg: ExperimentConfig, taus: list[float], out_arg: str | None) ->
 def cmd_eval(cfg: ExperimentConfig, params_path: str, out_arg: str | None) -> int:
     out = _out_dir(cfg, out_arg)
     ds, _ = _dataset_for(cfg)
-    params = load_params(params_path)
+    params = _load_params_for(cfg, params_path)
     part = evaluate(params, ds.participating_clients(), cfg.train)
     report = {
         "params": str(params_path),
@@ -363,13 +354,7 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
         raise ConfigError("bound requires data.source = generate (slack needs the generator)")
     out = _out_dir(cfg, out_arg)
     ds, task = _dataset_for(cfg)
-    params = load_params(params_path)
-    if params.arch.input_dim != cfg.gen.d or params.arch.num_classes != cfg.gen.num_classes:
-        raise ConfigError(
-            f"params {params_path} were trained for input_dim={params.arch.input_dim}, "
-            f"num_classes={params.arch.num_classes}; generator has {cfg.gen.d}, "
-            f"{cfg.gen.num_classes}"
-        )
+    params = _load_params_for(cfg, params_path)
     rng = substream(cfg.seed, DOMAIN_BOUND)
 
     audits = [
@@ -406,11 +391,8 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
         report["holds_fraction"] = res.holding_fraction
         report["trials"] = res.trials
 
-    lines = ["# fedvi bound v1"]
-    lines += [f"# {line}" for line in cfg.provenance_lines()]
     keys = list(report)
-    lines.append(",".join(keys))
-    lines.append(",".join(_fmt(report[k]) for k in keys))
+    lines = _provenance("bound", cfg) + [",".join(keys), ",".join(_fmt(report[k]) for k in keys)]
     (out / "bound.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     report["config"] = cfg.provenance_lines()
     (out / "bound.json").write_text(
@@ -425,28 +407,30 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommands and their flags. A flag that overrides a config key has
+    the key as its ``dest``; each subcommand takes only the flags it reads."""
     parser = argparse.ArgumentParser(prog="fedvi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, summary: str, algorithm: bool = False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override run seed")
-        p.add_argument("--algorithm", choices=["fedvi", "fedavg"], default=None)
-        p.add_argument("--tau", type=float, default=None, help="override KL weight")
+        p.add_argument("--seed", dest="run.seed", metavar="N", type=int, help="override run seed")
+        if algorithm:
+            p.add_argument("--algorithm", dest="train.algorithm", choices=ALGORITHMS)
+        return p
 
-    common(sub.add_parser("generate", help="write a synthetic dataset"))
-    common(sub.add_parser("train", help="run federated training"))
-    p_ablate = sub.add_parser("ablate", help="sweep the KL weight")
-    common(p_ablate)
+    command("generate", "write a synthetic dataset")
+    p_train = command("train", "run federated training", algorithm=True)
+    p_train.add_argument("--tau", dest="train.tau", metavar="T", type=float, help="override tau")
+    p_ablate = command("ablate", "sweep the KL weight")
     p_ablate.add_argument(
         "--taus", default="0,1e-6,1e-4,1e-2,1", help="comma-separated KL weights"
     )
-    p_eval = sub.add_parser("eval", help="evaluate saved parameters")
-    common(p_eval)
+    p_eval = command("eval", "evaluate saved parameters", algorithm=True)
     p_eval.add_argument("--params", required=True)
-    p_bound = sub.add_parser("bound", help="evaluate the generalization bound")
-    common(p_bound)
+    p_bound = command("bound", "evaluate the generalization bound")
     p_bound.add_argument("--params", required=True)
     p_bound.add_argument("--check", action="store_true", help="run the holds-fraction trials")
     return parser
@@ -454,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {
+        tuple(dest.split(".")): value
+        for dest, value in vars(args).items()
+        if "." in dest and value is not None
+    }
     try:
-        cfg = parse_config(
-            args.config,
-            seed_override=args.seed,
-            algorithm_override=args.algorithm,
-            tau_override=args.tau,
-        )
+        cfg = parse_config(args.config, overrides)
         if args.command == "generate":
             return cmd_generate(cfg, args.out)
         if args.command == "train":

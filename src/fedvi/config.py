@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bounds import PacBayesConfig
 from .datagen import GenConfig
-from .federation import ALGORITHMS, TrainConfig
+from .federation import TrainConfig
 from .model import ArchConfig
 
 
@@ -32,7 +32,10 @@ _CONVERTERS = {
     "int_list": _parse_int_list,
 }
 
-# (section, key) -> (type name, default). None means "no default, optional".
+# (section, key) -> (type name, default), in render order. None means "no
+# default, optional". The [arch], [train] and [bound] keys are the field names
+# of ArchConfig, TrainConfig and PacBayesConfig (bound.trials aside), which
+# build_config fills by name.
 SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("data", "source"): ("str", "generate"),
     ("data", "path"): ("str", None),
@@ -153,30 +156,26 @@ def _read_entries(text: str, origin: str) -> dict[tuple[str, str], object]:
 def build_config(
     values: dict[tuple[str, str], object],
     origin: str = "<config>",
-    seed_override: int | None = None,
-    algorithm_override: str | None = None,
-    tau_override: float | None = None,
+    overrides: dict[tuple[str, str], object] | None = None,
 ) -> ExperimentConfig:
+    """Resolve parsed values into settings; ``overrides`` replace values first,
+    so that the provenance header records them."""
     v = dict(values)
-    if seed_override is not None:
-        v[("run", "seed")] = seed_override
-    if algorithm_override is not None:
-        v[("train", "algorithm")] = algorithm_override
-    if tau_override is not None:
-        v[("train", "tau")] = tau_override
+    for spec_key, value in (overrides or {}).items():
+        if spec_key not in SCHEMA:
+            raise ConfigError(f"{origin}: unknown override key {spec_key!r}")
+        v[spec_key] = value
     seed = v[("run", "seed")]
 
     def get(section: str, key: str):
         return v[(section, key)]
 
+    def fields(section: str) -> dict[str, object]:
+        return {key: value for (sec, key), value in v.items() if sec == section}
+
     source = get("data", "source")
     if source not in ("generate", "file"):
         raise ConfigError(f"{origin}: data.source must be 'generate' or 'file', got {source!r}")
-    if get("train", "algorithm") not in ALGORITHMS:
-        raise ConfigError(
-            f"{origin}: train.algorithm must be one of {ALGORITHMS}, "
-            f"got {get('train', 'algorithm')!r}"
-        )
 
     gen = None
     dataset_path = None
@@ -207,38 +206,16 @@ def build_config(
         if not dataset_path:
             raise ConfigError(f"{origin}: data.source = file requires data.path")
 
+    bound = fields("bound")
+    trials = bound.pop("trials")
     try:
         arch = ArchConfig(
             input_dim=get("data", "input_dim"),
-            embed_widths=get("arch", "embed_widths"),
-            local_dim=get("arch", "local_dim"),
-            global_dim=get("arch", "global_dim"),
             num_classes=get("data", "num_classes"),
-            posterior_widths=get("arch", "posterior_widths"),
-            support_fraction=get("arch", "support_fraction"),
-            mean_damp=get("arch", "mean_damp"),
-            logscale_damp=get("arch", "logscale_damp"),
-            scale_floor=get("arch", "scale_floor"),
+            **fields("arch"),
         )
-        train = TrainConfig(
-            rounds=get("train", "rounds"),
-            cohort_size=get("train", "cohort_size"),
-            client_lr=get("train", "client_lr"),
-            server_lr=get("train", "server_lr"),
-            server_momentum=get("train", "server_momentum"),
-            local_epochs=get("train", "local_epochs"),
-            batch_size=get("train", "batch_size"),
-            tau=get("train", "tau"),
-            algorithm=get("train", "algorithm"),
-            seed=seed,
-            eval_every=get("train", "eval_every"),
-        )
-        pac = PacBayesConfig(
-            eta=get("bound", "eta"),
-            delta=get("bound", "delta"),
-            slack_samples=get("bound", "slack_samples"),
-            posterior_samples=get("bound", "posterior_samples"),
-        )
+        train = TrainConfig(seed=seed, **fields("train"))
+        pac = PacBayesConfig(**bound)
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
@@ -249,7 +226,7 @@ def build_config(
         arch=arch,
         train=train,
         pac=pac,
-        bound_trials=get("bound", "trials"),
+        bound_trials=trials,
         seed=seed,
         label=get("run", "label"),
     )
@@ -258,20 +235,12 @@ def build_config(
 def parse_config_text(
     text: str,
     origin: str = "<config>",
-    seed_override: int | None = None,
-    algorithm_override: str | None = None,
-    tau_override: float | None = None,
+    overrides: dict[tuple[str, str], object] | None = None,
 ) -> ExperimentConfig:
-    values = _read_entries(text, origin)
-    return build_config(values, origin, seed_override, algorithm_override, tau_override)
+    return build_config(_read_entries(text, origin), origin, overrides)
 
 
-def parse_config(
-    path,
-    seed_override: int | None = None,
-    algorithm_override: str | None = None,
-    tau_override: float | None = None,
-) -> ExperimentConfig:
+def parse_config(path, overrides: dict[tuple[str, str], object] | None = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_config_text(text, str(path), seed_override, algorithm_override, tau_override)
+    return parse_config_text(text, str(path), overrides)

@@ -293,14 +293,19 @@ def save_dataset(ds: FederatedDataset, path, gen_config: GenConfig | None = None
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    """Reads a whole binary file; a read past its end raises ``error``."""
+
+    def __init__(self, path, error: type[ValueError] = MalformedDatasetError):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.path = path
+        self.error = error
         self.pos = 0
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.blob):
-            raise MalformedDatasetError(
-                f"dataset file truncated at byte {self.pos} (need {count} more)"
+            raise self.error(
+                f"{self.path}: file truncated at byte {self.pos} (need {count} more)"
             )
         out = self.blob[self.pos : self.pos + count]
         self.pos += count
@@ -311,9 +316,7 @@ class _Reader:
 
 
 def load_dataset(path) -> FederatedDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
+    r = _Reader(path)
     if r.take(4) != MAGIC:
         raise MalformedDatasetError(f"{path}: not a dataset file (bad magic)")
     version, num_classes, holdout = r.unpack("<III")
@@ -328,8 +331,8 @@ def load_dataset(path) -> FederatedDataset:
         x = np.frombuffer(r.take(8 * n * d), dtype="<f8").reshape(n, d)
         y = np.frombuffer(r.take(8 * n), dtype="<i8")
         clients.append(ClientDataset(client_id, x, y, split))
-    if r.pos != len(blob):
-        raise MalformedDatasetError(f"{path}: {len(blob) - r.pos} trailing bytes")
+    if r.pos != len(r.blob):
+        raise MalformedDatasetError(f"{path}: {len(r.blob) - r.pos} trailing bytes")
     try:
         return FederatedDataset(clients, num_classes, holdout)
     except ValueError as exc:

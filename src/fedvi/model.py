@@ -343,7 +343,9 @@ def predict_logits(
     """Local branch reshape(beta, [K, L]) . local + global classifier + biases.
 
     For stacked queries [C x Q x L], ``beta`` is [C x m] and ``b_beta``
-    [C x K], one per client.
+    [C x K], one per client. ``query_global`` may omit the leading axes of
+    ``query_local``: the global classifier then runs once on its [Q x G]
+    rows and its logits broadcast against the [C x Q x K] local ones.
     """
     arch = params.arch
     if beta.shape != query_local.shape[:-2] + (arch.beta_dim,):

@@ -3,16 +3,19 @@ from __future__ import annotations
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedvi import cli, federation
 from fedvi.cli import load_params, main, read_metrics, save_params
-from fedvi.config import ConfigError, parse_config_text
+from fedvi.config import ConfigError, parse_config, parse_config_text
 from fedvi.model import init_params
 
 from conftest import small_arch
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 [run]
@@ -111,11 +114,20 @@ class TestParseConfig:
 
     def test_overrides_apply(self):
         cfg = parse_config_text(
-            SMALL_RUN, seed_override=77, algorithm_override="fedavg", tau_override=0.5
+            SMALL_RUN,
+            overrides={
+                ("run", "seed"): 77,
+                ("train", "algorithm"): "fedavg",
+                ("train", "tau"): 0.5,
+            },
         )
         assert cfg.seed == 77 and cfg.train.seed == 77
         assert cfg.train.algorithm == "fedavg"
         assert cfg.train.tau == 0.5
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown override key"):
+            parse_config_text(SMALL_RUN, overrides={("train", "warmup"): 3})
 
     def test_file_source_requires_path(self):
         with pytest.raises(ConfigError, match="data.path"):
@@ -153,15 +165,20 @@ class TestParamsFile:
             load_params(path)
 
     @staticmethod
-    def _with_dropout_header(path, rate):
-        """Rewrite the arch header as files written before dropout's removal
-        carried it."""
+    def _edit_header(path, edit):
+        """Replace the arch header with ``edit(header dict)``, bytes or a dict."""
         blob = path.read_bytes()
         (arch_len,) = struct.unpack("<I", blob[8:12])
-        arch = json.loads(blob[12 : 12 + arch_len])
-        arch["dropout_rate"] = rate
-        text = json.dumps(arch, sort_keys=True).encode("utf-8")
+        text = edit(json.loads(blob[12 : 12 + arch_len]))
+        if isinstance(text, dict):
+            text = json.dumps(text, sort_keys=True).encode("utf-8")
         path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + arch_len :])
+
+    @classmethod
+    def _with_dropout_header(cls, path, rate):
+        """Rewrite the arch header as files written before dropout's removal
+        carried it."""
+        cls._edit_header(path, lambda arch: {**arch, "dropout_rate": rate})
 
     def test_old_header_with_zero_dropout_loads(self, tmp_path, rng):
         params = init_params(small_arch(), rng)
@@ -186,6 +203,85 @@ class TestParamsFile:
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(cli.ParamsFormatError, match="magic"):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda arch: {k: v for k, v in arch.items() if k != "scale_floor"},
+            lambda arch: b"input_dim = 5",
+            lambda arch: {**arch, "local_dim": 0},
+            lambda arch: {**arch, "hidden_act": "tanh"},
+        ],
+        ids=["missing-key", "not-json", "invalid-value", "unknown-key"],
+    )
+    def test_malformed_header_is_a_format_error(self, edit, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        save_params(init_params(small_arch(), rng), path)
+        self._edit_header(path, edit)
+        with pytest.raises(cli.ParamsFormatError, match="architecture header"):
+            load_params(path)
+        args = ["--config", write_cfg(tmp_path), "--out", str(tmp_path), "--params", str(path)]
+        assert main(["bound", *args]) == cli.EXIT_IO
+
+
+class TestFileFormats:
+    """Literal bytes of two outputs, so that a refactor that changes either fails here."""
+
+    def test_params_header_bytes(self, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        save_params(init_params(small_arch(), rng), path)
+        header = (
+            b'{"embed_widths": [7, 6], "global_dim": 4, "input_dim": 5, "local_dim": 2, '
+            b'"logscale_damp": 2.0, "mean_damp": 2.0, "num_classes": 3, '
+            b'"posterior_widths": [8, 8], "scale_floor": 1e-05, "support_fraction": 0.5}'
+        )
+        blob = path.read_bytes()
+        assert blob[: 12 + len(header)] == b"FVPM" + struct.pack("<II", 1, len(header)) + header
+
+    def test_provenance_lines_of_heterogeneous_cfg(self):
+        expected = """\
+[data]
+source = generate
+clients = 40
+holdout = 8
+n_min = 200
+n_max = 400
+input_dim = 16
+num_classes = 5
+sigma_beta = 2.0
+input_shift_scale = 1.0
+data_seed = 101
+[arch]
+embed_widths = 32,20
+local_dim = 4
+global_dim = 16
+posterior_widths = 64,64
+support_fraction = 0.5
+mean_damp = 2.0
+logscale_damp = 2.0
+scale_floor = 1e-05
+[train]
+rounds = 200
+cohort_size = 8
+client_lr = 0.001
+server_lr = 0.5
+server_momentum = 0.9
+local_epochs = 1
+batch_size = 32
+tau = 0.01
+algorithm = fedvi
+eval_every = 10
+[bound]
+eta = 1.0
+delta = 0.05
+slack_samples = 200
+posterior_samples = 16
+trials = 100
+[run]
+seed = 101
+label = heterogeneous"""
+        lines = parse_config(CONFIGS / "heterogeneous.cfg").provenance_lines()
+        assert "\n".join(lines) == expected
 
 
 def write_cfg(tmp_path, text=SMALL_RUN):
@@ -323,8 +419,8 @@ class TestCliCommands:
         from fedvi.datagen import generate_hierarchical
 
         text = SMALL_RUN.replace("sigma_beta = 1.0", "sigma_beta = 1.0\ndata_seed = 123")
-        cfg1 = parse_config_text(text, seed_override=1)
-        cfg2 = parse_config_text(text, seed_override=2)
+        cfg1 = parse_config_text(text, overrides={("run", "seed"): 1})
+        cfg2 = parse_config_text(text, overrides={("run", "seed"): 2})
         ds1, _ = generate_hierarchical(cfg1.gen)
         ds2, _ = generate_hierarchical(cfg2.gen)
         assert ds1 == ds2
@@ -385,6 +481,31 @@ class TestExitCodes:
             ["eval", "--config", cfg, "--out", out, "--params", "/nonexistent.bin"]
         )
         assert code == cli.EXIT_IO
+
+    def test_eval_params_of_another_architecture(self, tmp_path, rng, capsys):
+        params = tmp_path / "p.bin"
+        save_params(init_params(small_arch(input_dim=4), rng), params)
+        cfg = write_cfg(tmp_path)  # input_dim = 5
+        code = main(["eval", "--config", cfg, "--out", str(tmp_path), "--params", str(params)])
+        assert code == cli.EXIT_CONFIG
+        assert "trained for input_dim=4" in capsys.readouterr().err
+
+    def test_ablate_rejects_fedavg_config(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("[train]\n", "[train]\nalgorithm = fedavg\n"))
+        code = main(["ablate", "--config", cfg, "--out", str(tmp_path), "--taus", "0"])
+        assert code == cli.EXIT_CONFIG
+        assert "train.algorithm is 'fedavg'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("ablate", "--algorithm"), ("eval", "--tau"), ("bound", "--tau"),
+         ("bound", "--algorithm"), ("generate", "--algorithm")],
+    )
+    def test_flags_nothing_reads_are_rejected(self, command, flag, tmp_path):
+        value = "fedavg" if flag == "--algorithm" else "0.5"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", write_cfg(tmp_path), flag, value])
+        assert exc.value.code == 2
 
     def test_bound_requires_generator(self, tmp_path):
         text = "[data]\nsource = file\npath = whatever.bin\n"
