@@ -38,6 +38,8 @@ from .seeding import DOMAIN_CLIENT, substream
 
 TRUE_RISK_POINTS_PER_CLIENT = 2048
 AUDIT_BATCH_SIZE = 256
+# Logits in one tile of estimate_slack: 1 MiB of float64.
+SLACK_TILE_ELEMENTS = 1 << 17
 
 
 @dataclass
@@ -209,36 +211,40 @@ def estimate_slack(
     from the prior). True risks use an exact inner expectation over labels
     on a large fresh input pool; empirical risks use freshly sampled
     datasets of the task's per-client sizes.
+
+    The empirical risks stream through one tile per client and data draw:
+    the draw's n_k x S x K logits (about 1 MB for 200 rows, 200 hypotheses
+    and 3 classes), so memory does not grow with the number of draws.
+    Hypotheses are sliced only when a draw's tile would exceed
+    ``SLACK_TILE_ELEMENTS``. The tile size changes no bit of the result.
     """
     cfg = task.cfg
-    dim = cfg.d * cfg.num_classes
-    if prior.dim != dim:
-        raise ValueError(f"prior dimension {prior.dim} != d*K = {dim}")
-    mean, scale = prior.mean, prior.scale
-    k_classes = cfg.num_classes
-    chunk = max(1, 8_000_000 // max(n_data_draws * max(task.n_per_client), 1))
+    d, k_classes = cfg.d, cfg.num_classes
+    if prior.dim != d * k_classes:
+        raise ValueError(f"prior dimension {prior.dim} != d*K = {d * k_classes}")
 
     r_true = np.zeros(n_prior_samples)
     r_emp = np.zeros((n_prior_samples, n_data_draws))
-    for k in range(cfg.c):
-        n_k = task.n_per_client[k]
-        betas = (
-            mean + scale * rng.standard_normal((n_prior_samples, dim))
-        ).reshape(n_prior_samples, cfg.d, k_classes)
+    for k, n_k in enumerate(task.n_per_client):
+        # Two or more hypotheses a slice: numpy would sum a lone column pairwise.
+        per_slice = max(1, SLACK_TILE_ELEMENTS // (n_k * k_classes))
+        n_slices = max(1, min(-(-n_prior_samples // per_slice), n_prior_samples // 2))
+        betas = prior.mean + prior.scale * rng.standard_normal((n_prior_samples, prior.dim))
         x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
         x_data, p_data = draw_client_inputs(task, k, n_data_draws * n_k, rng)
-        y_data = _sample_categorical_rows(p_data, rng)
-        m = x_data.shape[0]
-        for s0 in range(0, n_prior_samples, chunk):
-            mats = task.truth.theta + betas[s0 : s0 + chunk]  # [S, d, K]
-            s = mats.shape[0]
-            stacked = np.transpose(mats, (1, 0, 2)).reshape(cfg.d, s * k_classes)
-            z_pool = (x_pool @ stacked).reshape(-1, s, k_classes)
+        y_data = _sample_categorical_rows(p_data, rng).reshape(n_data_draws, n_k)
+        x_data = x_data.reshape(n_data_draws, n_k, d)
+        rows = np.arange(n_k)
+        for hyp in np.array_split(np.arange(n_prior_samples), n_slices):
+            mats = task.truth.theta + betas[hyp].reshape(-1, d, k_classes)  # [S, d, K]
+            stacked = np.transpose(mats, (1, 0, 2)).reshape(d, -1)
+            z_pool = (x_pool @ stacked).reshape(-1, hyp.size, k_classes)
             pool_risk = _logsumexp(z_pool) - np.einsum("pk,psk->ps", p_pool, z_pool)
-            r_true[s0 : s0 + s] += n_k * pool_risk.mean(axis=0)
-            z_data = (x_data @ stacked).reshape(m, s, k_classes)
-            nll = _logsumexp(z_data) - z_data[np.arange(m), :, y_data]
-            r_emp[s0 : s0 + s] += nll.reshape(n_data_draws, n_k, s).sum(axis=1).T
+            r_true[hyp] += n_k * pool_risk.mean(axis=0)
+            for j in range(n_data_draws):
+                z_data = (x_data[j] @ stacked).reshape(n_k, hyp.size, k_classes)
+                nll = _logsumexp(z_data) - z_data[rows, :, y_data[j]]
+                r_emp[hyp, j] += nll.sum(axis=0)
     gaps = eta * (r_true[:, None] - r_emp)
     return scaled_log_moment(gaps, delta)
 

@@ -33,7 +33,7 @@ from .datagen import (
     save_dataset,
 )
 from .federation import ALGORITHMS, RunResult, evaluate, run_training
-from .model import ArchConfig, FedVIParams, ParamBlock
+from .model import ArchConfig, FedVIParams, ParamBlock, block_shapes, params_from_blocks
 from .nn import NonFiniteError
 from .seeding import DOMAIN_ABLATION, DOMAIN_BOUND, substream
 from .bounds import SyntheticTask, synthetic_task
@@ -103,21 +103,33 @@ def load_params(path) -> FedVIParams:
     (arch_len,) = r.unpack("<I")
     arch = _arch_from_header(r.take(arch_len), path)
     (n_blocks,) = r.unpack("<I")
+    expected = block_shapes(arch)
+    if n_blocks != len(expected):
+        raise ParamsFormatError(
+            f"{path}: {n_blocks} parameter blocks; the architecture has {len(expected)}"
+        )
     blocks = []
-    for _ in range(n_blocks):
+    for want in expected.items():
         (name_len,) = r.unpack("<I")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParamsFormatError(f"{path}: block name is not UTF-8 ({exc})") from exc
         (ndim,) = r.unpack("<I")
         shape = r.unpack(f"<{ndim}Q")
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(shape)
-        blocks.append(ParamBlock(name, arr))
-    embed = [b for b in blocks if b.name.startswith("embed.")]
-    post = [b for b in blocks if b.name.startswith("post.")]
-    cls = [b for b in blocks if b.name.startswith("cls.")]
-    if len(embed) + len(post) + len(cls) != len(blocks) or len(cls) != 2:
-        raise ParamsFormatError(f"{path}: unexpected parameter block names")
-    return FedVIParams(embed, post, cls, arch)
+        if (name, shape) != want:
+            raise ParamsFormatError(
+                f"{path}: block {name!r} of shape {shape}; the architecture has "
+                f"{want[0]!r} of shape {want[1]}"
+            )
+        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        try:
+            blocks.append(ParamBlock(name, arr))
+        except NonFiniteError as exc:
+            raise ParamsFormatError(f"{path}: {exc}") from exc
+    if r.pos != len(r.blob):
+        raise ParamsFormatError(f"{path}: {len(r.blob) - r.pos} bytes after the last block")
+    return params_from_blocks(blocks, arch)
 
 
 def _load_params_for(cfg: ExperimentConfig, params_path) -> FedVIParams:
@@ -267,18 +279,12 @@ def _ablation_seed(base_seed: int, index: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-def run_ablation(
-    cfg: ExperimentConfig,
-    taus: list[float],
-    on_row=None,
-) -> list[tuple[float, float, float, float]]:
-    """One full training run per KL weight over a shared dataset.
+def ablation_grid(cfg: ExperimentConfig, taus: list[float]) -> list[float]:
+    """The KL weights a sweep trains: ``taus`` sorted, plus zero.
 
-    The dataset seed is shared across the sweep; each weight trains under
-    its own derived seed. Zero is always included so the participation gap
-    has its reference point. Returns (tau, part_acc, nonpart_acc, gap)
-    rows sorted by tau; on a failing run the rows completed so far are
-    still delivered through ``on_row`` before the error propagates.
+    Zero is always included so the participation gap has its reference
+    point. An empty list, or a config whose algorithm has no KL weight,
+    is a configuration error.
     """
     if not taus:
         raise ConfigError("ablation requires a nonempty tau list")
@@ -286,8 +292,22 @@ def run_ablation(
         raise ConfigError(
             f"ablation sweeps fedvi's KL weight; train.algorithm is {cfg.train.algorithm!r}"
         )
-    grid = sorted(set(taus) | {0.0})
-    ds, _ = _dataset_for(cfg)
+    return sorted(set(taus) | {0.0})
+
+
+def run_ablation(
+    cfg: ExperimentConfig,
+    ds: FederatedDataset,
+    grid: list[float],
+    on_row=None,
+) -> list[tuple[float, float, float, float]]:
+    """One full training run per KL weight of ``grid`` over a shared dataset.
+
+    Each weight trains under its own derived seed. Returns (tau, part_acc,
+    nonpart_acc, gap) rows in grid order; on a failing run the rows
+    completed so far are still delivered through ``on_row`` before the
+    error propagates.
+    """
     rows: list[tuple[float, float, float, float]] = []
     for i, tau in enumerate(grid):
         train_cfg = dataclasses.replace(cfg.train, tau=tau, seed=_ablation_seed(cfg.seed, i))
@@ -301,6 +321,8 @@ def run_ablation(
 
 
 def cmd_ablate(cfg: ExperimentConfig, taus: list[float], out_arg: str | None) -> int:
+    grid = ablation_grid(cfg, taus)
+    ds, _ = _dataset_for(cfg)
     out = _out_dir(cfg, out_arg)
     rows: list[tuple[float, float, float, float]] = []
     path = out / "ablation.csv"
@@ -318,7 +340,7 @@ def cmd_ablate(cfg: ExperimentConfig, taus: list[float], out_arg: str | None) ->
         )
 
     try:
-        run_ablation(cfg, taus, on_row=on_row)
+        run_ablation(cfg, ds, grid, on_row=on_row)
     finally:
         flush()
     print(f"wrote {path}")
@@ -409,11 +431,11 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
 def build_parser() -> argparse.ArgumentParser:
     """Subcommands and their flags. A flag that overrides a config key has
     the key as its ``dest``; each subcommand takes only the flags it reads."""
-    parser = argparse.ArgumentParser(prog="fedvi", description=__doc__)
+    parser = argparse.ArgumentParser(prog="fedvi", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, summary: str, algorithm: bool = False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", dest="run.seed", metavar="N", type=int, help="override run seed")

@@ -144,20 +144,27 @@ class FedVIParams:
         raise KeyError(name)
 
 
-def _mlp_blocks(
-    prefix: str,
-    dims: list[int],
-    rng: np.random.Generator,
-    last_layer_shrink: float = 1.0,
-) -> list[ParamBlock]:
-    blocks = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        std = glorot_scale(fan_in, fan_out)
-        if i == len(dims) - 2:
-            std /= last_layer_shrink
-        blocks.append(ParamBlock(f"{prefix}.{i}.W", std * rng.standard_normal((fan_in, fan_out))))
-        blocks.append(ParamBlock(f"{prefix}.{i}.b", np.zeros(fan_out)))
-    return blocks
+def block_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter block's name and shape, in ``all_blocks`` order."""
+    shapes = {}
+    for prefix, dims in (
+        ("embed", [arch.input_dim, *arch.embed_widths]),
+        ("post", [arch.global_dim, *arch.posterior_widths, arch.posterior_out_dim]),
+    ):
+        for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            shapes[f"{prefix}.{i}.W"] = (fan_in, fan_out)
+            shapes[f"{prefix}.{i}.b"] = (fan_out,)
+    shapes["cls.W"] = (arch.global_dim, arch.num_classes)
+    shapes["cls.b"] = (arch.num_classes,)
+    return shapes
+
+
+def params_from_blocks(blocks: list[ParamBlock], arch: ArchConfig) -> FedVIParams:
+    """Blocks in ``block_shapes`` order, grouped by their name's prefix."""
+    embed, post, cls = (
+        [b for b in blocks if b.name.startswith(prefix)] for prefix in ("embed.", "post.", "cls.")
+    )
+    return FedVIParams(embed, post, cls, arch)
 
 
 def init_params(arch: ArchConfig, rng: np.random.Generator) -> FedVIParams:
@@ -166,21 +173,17 @@ def init_params(arch: ArchConfig, rng: np.random.Generator) -> FedVIParams:
     The posterior constructor's output layer is shrunk so the rebuilt
     posterior starts out indistinguishable from its prior.
     """
-    embed = _mlp_blocks("embed", [arch.input_dim, *arch.embed_widths], rng)
-    post = _mlp_blocks(
-        "post",
-        [arch.global_dim, *arch.posterior_widths, arch.posterior_out_dim],
-        rng,
-        last_layer_shrink=POSTERIOR_HEAD_INIT_SHRINK,
-    )
-    g = glorot_scale(arch.global_dim, arch.num_classes)
-    cls = [
-        ParamBlock("cls.W", g * rng.standard_normal((arch.global_dim, arch.num_classes))),
-        ParamBlock("cls.b", np.zeros(arch.num_classes)),
-    ]
-    params = FedVIParams(embed, post, cls, arch)
-    nn.check_unique_names(params.all_blocks())
-    return params
+    head = f"post.{len(arch.posterior_widths)}.W"
+    blocks = []
+    for name, shape in block_shapes(arch).items():
+        if len(shape) == 1:
+            blocks.append(ParamBlock(name, np.zeros(shape)))
+            continue
+        std = glorot_scale(*shape)
+        if name == head:
+            std /= POSTERIOR_HEAD_INIT_SHRINK
+        blocks.append(ParamBlock(name, std * rng.standard_normal(shape)))
+    return params_from_blocks(blocks, arch)
 
 
 def _mlp_forward(

@@ -18,7 +18,7 @@ must never share code with the reverse-mode path.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -170,14 +170,6 @@ class ParamBlock:
 
     def __repr__(self) -> str:
         return f"ParamBlock({self.name!r}, shape={self.shape})"
-
-
-def check_unique_names(blocks: Iterable[ParamBlock]) -> None:
-    seen: set[str] = set()
-    for block in blocks:
-        if block.name in seen:
-            raise ValueError(f"duplicate parameter name {block.name!r}")
-        seen.add(block.name)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from scipy.special import log_softmax, logsumexp
 
+from fedvi import bounds
 from fedvi.bounds import (
     AUDIT_BATCH_SIZE,
     TRUE_RISK_POINTS_PER_CLIENT,
@@ -218,6 +220,29 @@ class TestEstimateSlack:
         gaps = eta * (r_true[:, None] - r_emp)
         want = math.log(1 / delta) + logsumexp(gaps) - math.log(gaps.size)
         assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("tile", [1, 360, 10**9])
+    def test_tile_size_changes_no_bit(self, tile, monkeypatch):
+        # Ragged clients (30-40 rows), 7 hypotheses: a tile of 1 cuts them
+        # into the smallest slices (3, 2, 2), 360 into slices of 2 to 4, and
+        # 10**9 holds all of them for every row of a client.
+        _, task = toy_task()
+        args = (task, generator_prior(task), 0.7, 0.1, 7, 5)
+        want = estimate_slack(*args, substream(8, 0))
+        monkeypatch.setattr(bounds, "SLACK_TILE_ELEMENTS", tile)
+        assert estimate_slack(*args, substream(8, 0)) == want
+
+    def test_memory_stays_bounded_by_the_tile(self):
+        # All of one client's data logits would be 40,000 x 200 x 3 floats
+        # (183 MiB); the tiled estimator holds one draw's 200 x 200 x 3.
+        _, task = toy_task(c=2, n=(200, 200), d=4, k=3, seed=4)
+        tracemalloc.start()
+        try:
+            estimate_slack(task, generator_prior(task), 1.0, 0.1, 200, 200, substream(3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_prior_dimension_checked(self):
         ds, task = toy_task()

@@ -223,6 +223,59 @@ class TestParamsFile:
         args = ["--config", write_cfg(tmp_path), "--out", str(tmp_path), "--params", str(path)]
         assert main(["bound", *args]) == cli.EXIT_IO
 
+    def _fails_to_load(self, path, tmp_path, match):
+        """``load_params`` raises a format error and ``fedvi eval`` exits 3."""
+        with pytest.raises(cli.ParamsFormatError, match=match):
+            load_params(path)
+        args = ["--config", write_cfg(tmp_path), "--out", str(tmp_path), "--params", str(path)]
+        assert main(["eval", *args]) == cli.EXIT_IO
+
+    def test_block_name_that_is_not_utf8(self, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        save_params(init_params(small_arch(), rng), path)
+        blob = bytearray(path.read_bytes())
+        (arch_len,) = struct.unpack("<I", blob[8:12])
+        blob[12 + arch_len + 8] = 0xFF  # first byte of the first block's name
+        path.write_bytes(bytes(blob))
+        self._fails_to_load(path, tmp_path, "not UTF-8")
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            (b"cls.W", b"cls.V", "'cls.V'"),
+            (b"widths\": [8, 8]", b"widths\": [8, 9]", r"shape \(8, 8\)"),
+            (b"widths\": [8, 8]", b"widths\": [8]   ", r"12 parameter blocks; .* has 10"),
+        ],
+        ids=["name", "shape", "count"],
+    )
+    def test_blocks_must_match_the_header_architecture(self, old, new, match, tmp_path, rng):
+        # The header's posterior_widths edits keep its length, so only the
+        # architecture it describes changes.
+        path = tmp_path / "p.bin"
+        save_params(init_params(small_arch(), rng), path)
+        blob = path.read_bytes()
+        edited = blob.replace(old, new)
+        assert edited != blob and len(edited) == len(blob)
+        path.write_bytes(edited)
+        self._fails_to_load(path, tmp_path, match)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda blob: blob + b"\x00", "1 bytes after the last block"),
+            (
+                lambda blob: blob[:-8] + struct.pack("<d", float("nan")),
+                "'cls.b' contains non-finite",
+            ),
+        ],
+        ids=["trailing-bytes", "nan"],
+    )
+    def test_corrupt_values_are_a_format_error(self, edit, match, tmp_path, rng):
+        path = tmp_path / "p.bin"
+        save_params(init_params(small_arch(), rng), path)
+        path.write_bytes(edit(path.read_bytes()))
+        self._fails_to_load(path, tmp_path, match)
+
 
 class TestFileFormats:
     """Literal bytes of two outputs, so that a refactor that changes either fails here."""
@@ -495,10 +548,18 @@ class TestExitCodes:
         code = main(["ablate", "--config", cfg, "--out", str(tmp_path), "--taus", "0"])
         assert code == cli.EXIT_CONFIG
         assert "train.algorithm is 'fedavg'" in capsys.readouterr().err
+        assert not (tmp_path / "ablation.csv").exists()
+
+    def test_ablate_rejects_an_empty_tau_list(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        code = main(["ablate", "--config", cfg, "--out", str(tmp_path), "--taus", ""])
+        assert code == cli.EXIT_CONFIG
+        assert "nonempty tau list" in capsys.readouterr().err
+        assert not (tmp_path / "ablation.csv").exists()
 
     @pytest.mark.parametrize(
         "command, flag",
-        [("ablate", "--algorithm"), ("eval", "--tau"), ("bound", "--tau"),
+        [("ablate", "--algorithm"), ("ablate", "--tau"), ("eval", "--tau"), ("bound", "--tau"),
          ("bound", "--algorithm"), ("generate", "--algorithm")],
     )
     def test_flags_nothing_reads_are_rejected(self, command, flag, tmp_path):
