@@ -15,7 +15,6 @@ non-normalized global prior.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from collections import namedtuple
@@ -33,12 +32,13 @@ from .datagen import (
 )
 from .distributions import DiagGaussian, kl_diag, standard_prior
 from .federation import TrainConfig, iter_local_batches
-from .model import FedVIParams, embed, forward_batch, minibatch_loss, predict_logits, split_features
+from .model import FedVIParams, _mlp_forward, embed, forward_batch, minibatch_loss, split_features
+from .nn import NonFiniteError
 from .seeding import DOMAIN_CLIENT, substream
 
 TRUE_RISK_POINTS_PER_CLIENT = 2048
 AUDIT_BATCH_SIZE = 256
-# Logits in one tile of estimate_slack: 1 MiB of float64.
+# Logits in one tile of estimate_slack, pool or data: 1 MiB of float64.
 SLACK_TILE_ELEMENTS = 1 << 17
 
 
@@ -129,11 +129,15 @@ def pacbayes_rhs(empirical_risk: float, kl: float, eta: float, delta: float, sla
 def scaled_log_moment(gaps: np.ndarray, delta: float) -> float:
     """log((1/delta) * mean(exp(gaps))) without overflow.
 
-    Returns +inf (with a heavy-tail warning) if any gap is itself infinite.
+    Returns +inf (with a heavy-tail warning) if any gap is itself infinite;
+    a NaN gap raises ``NonFiniteError``.
     """
     g = np.asarray(gaps, dtype=np.float64).ravel()
     if g.size == 0:
         raise ValueError("need at least one gap sample")
+    n_nan = int(np.isnan(g).sum())
+    if n_nan:
+        raise NonFiniteError(f"slack estimate: {n_nan} of {g.size} gap samples are NaN")
     if np.any(np.isposinf(g)):
         warnings.warn(
             "slack estimate diverged (+inf gap sample); the moment may be heavy-tailed",
@@ -180,18 +184,62 @@ def draw_client_inputs(
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
-    """log(sum(exp(z))) over the last axis, shifted by its max.
+    """log(sum(exp(z))) over the leading axis, shifted by its max.
 
     Every risk below goes through it: the NLL of label y is lse(z) - z[y],
     the expected NLL under label probabilities p is lse(z) - p.z, and the
     log of a mean of probabilities is a log-mean-exp of log-probabilities,
-    finite where a probability underflows. The axis is short (classes or
-    draws), so it is walked column by column: a numpy reduction over a
-    short last axis loops per row and is about three times slower.
+    finite where a probability underflows. Bound arrays lay out their short
+    axes (classes K, posterior draws S) first and their rows last, so the
+    reduced axis leads: numpy then adds whole rows in order, one vector add
+    per class or draw, instead of looping over a short last axis per row.
     """
-    cols = [z[..., j] for j in range(z.shape[-1])]
-    peak = functools.reduce(np.maximum, cols)
-    return peak + np.log(sum(np.exp(c - peak) for c in cols))
+    peak = z.max(axis=0)
+    shifted = z - peak
+    np.exp(shifted, out=shifted)
+    return peak + np.log(shifted.sum(axis=0))
+
+
+def _hypothesis_slices(w: np.ndarray, rows: int) -> list[slice]:
+    """Ranges of the hypotheses in ``w`` [K x d x S] whose logits on
+    ``rows`` rows, [K x rows x S'], fit one tile.
+
+    Two or more hypotheses a slice: numpy would sum a lone column pairwise.
+    """
+    k_classes, n_hyp = w.shape[0], w.shape[-1]
+    per_slice = max(1, SLACK_TILE_ELEMENTS // (rows * k_classes))
+    n_slices = max(1, min(-(-n_hyp // per_slice), n_hyp // 2))
+    return [slice(h[0], h[-1] + 1) for h in np.array_split(np.arange(n_hyp), n_slices)]
+
+
+def _pool_risks(task: SyntheticTask, k: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """True risk [S] of each hypothesis in ``w`` [K x d x S] on client k:
+    the exact expected NLL over labels, averaged over a fresh input pool."""
+    x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
+    p_cols = p_pool.T[..., None]  # [K x P x 1]
+    risks = np.empty(w.shape[-1])
+    for hyp in _hypothesis_slices(w, x_pool.shape[0]):
+        z = x_pool @ w[..., hyp]
+        risks[hyp] = (_logsumexp(z) - (p_cols * z).sum(axis=0)).mean(axis=0)
+    return risks
+
+
+def _data_risks(
+    task: SyntheticTask, k: int, w: np.ndarray, n_data_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Empirical risk [S x D] of each hypothesis in ``w`` [K x d x S] on D
+    fresh datasets of client k's size, one data draw a tile."""
+    n_k = task.n_per_client[k]
+    x, p = draw_client_inputs(task, k, n_data_draws * n_k, rng)
+    y = _sample_categorical_rows(p, rng).reshape(n_data_draws, n_k)
+    x = x.reshape(n_data_draws, n_k, -1)
+    rows = np.arange(n_k)
+    risks = np.empty((w.shape[-1], n_data_draws))
+    for hyp in _hypothesis_slices(w, n_k):
+        for j in range(n_data_draws):
+            z = x[j] @ w[..., hyp]
+            risks[hyp, j] = (_logsumexp(z) - z[y[j], rows]).sum(axis=0)
+    return risks
 
 
 def estimate_slack(
@@ -212,11 +260,14 @@ def estimate_slack(
     on a large fresh input pool; empirical risks use freshly sampled
     datasets of the task's per-client sizes.
 
-    The empirical risks stream through one tile per client and data draw:
-    the draw's n_k x S x K logits (about 1 MB for 200 rows, 200 hypotheses
-    and 3 classes), so memory does not grow with the number of draws.
-    Hypotheses are sliced only when a draw's tile would exceed
-    ``SLACK_TILE_ELEMENTS``. The tile size changes no bit of the result.
+    Each client's hypotheses become class-major weights w [K x d x S]
+    once, so rows x score as one ``x @ w`` into K x rows x S logits. The
+    empirical risks stream through one such tile per client and data draw
+    (about 1 MB for 200 rows, 200 hypotheses and 3 classes), so memory
+    does not grow with the number of draws. The pool term and the data term
+    slice the hypotheses, each on its own, only where a tile would exceed
+    ``SLACK_TILE_ELEMENTS`` (the 2048 pool rows take about 21 hypotheses a
+    slice). The tile size changes no bit of the result.
     """
     cfg = task.cfg
     d, k_classes = cfg.d, cfg.num_classes
@@ -226,25 +277,10 @@ def estimate_slack(
     r_true = np.zeros(n_prior_samples)
     r_emp = np.zeros((n_prior_samples, n_data_draws))
     for k, n_k in enumerate(task.n_per_client):
-        # Two or more hypotheses a slice: numpy would sum a lone column pairwise.
-        per_slice = max(1, SLACK_TILE_ELEMENTS // (n_k * k_classes))
-        n_slices = max(1, min(-(-n_prior_samples // per_slice), n_prior_samples // 2))
         betas = prior.mean + prior.scale * rng.standard_normal((n_prior_samples, prior.dim))
-        x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
-        x_data, p_data = draw_client_inputs(task, k, n_data_draws * n_k, rng)
-        y_data = _sample_categorical_rows(p_data, rng).reshape(n_data_draws, n_k)
-        x_data = x_data.reshape(n_data_draws, n_k, d)
-        rows = np.arange(n_k)
-        for hyp in np.array_split(np.arange(n_prior_samples), n_slices):
-            mats = task.truth.theta + betas[hyp].reshape(-1, d, k_classes)  # [S, d, K]
-            stacked = np.transpose(mats, (1, 0, 2)).reshape(d, -1)
-            z_pool = (x_pool @ stacked).reshape(-1, hyp.size, k_classes)
-            pool_risk = _logsumexp(z_pool) - np.einsum("pk,psk->ps", p_pool, z_pool)
-            r_true[hyp] += n_k * pool_risk.mean(axis=0)
-            for j in range(n_data_draws):
-                z_data = (x_data[j] @ stacked).reshape(n_k, hyp.size, k_classes)
-                nll = _logsumexp(z_data) - z_data[rows, :, y_data[j]]
-                r_emp[hyp, j] += nll.sum(axis=0)
+        w = np.ascontiguousarray((task.truth.theta + betas.reshape(-1, d, k_classes)).T)
+        r_true += n_k * _pool_risks(task, k, w, rng)
+        r_emp += _data_risks(task, k, w, n_data_draws, rng)
     gaps = eta * (r_true[:, None] - r_emp)
     return scaled_log_moment(gaps, delta)
 
@@ -261,6 +297,27 @@ class BoundCheckResult:
 
 
 ClientAudit = namedtuple("ClientAudit", "b_beta beta_draws n_query gibbs_nll kl")
+
+
+def _draw_logits(
+    params: FedVIParams,
+    beta_draws: np.ndarray,
+    b_beta: np.ndarray,
+    query_global: np.ndarray,
+    query_local: np.ndarray,
+) -> np.ndarray:
+    """``model.predict_logits`` of S draws [S x m] on Q rows, as [S x K x Q].
+
+    The local branch of every draw is one GEMM and the global head runs
+    once; the additions are predict_logits's, in its order.
+    """
+    arch = params.arch
+    n_draws = beta_draws.shape[0]
+    weights = beta_draws.reshape(n_draws * arch.num_classes, arch.local_dim)
+    logits = (weights @ query_local.T).reshape(n_draws, arch.num_classes, -1)
+    logits += _mlp_forward(params.theta_cls, query_global).T
+    logits += b_beta[:, None]
+    return logits
 
 
 def client_posterior_audit(
@@ -283,9 +340,8 @@ def client_posterior_audit(
     q = fwd.stats.q
     beta_draws = q.mean + q.scale * rng.standard_normal((cfg.posterior_samples, q.dim))
     y_query = y[fwd.support_size : batch]
-    local = np.broadcast_to(fwd.query_local, (cfg.posterior_samples, *fwd.query_local.shape))
-    logits = predict_logits(params, beta_draws, fwd.stats.b_beta, fwd.query_global, local)
-    nll = _logsumexp(logits) - logits[:, np.arange(y_query.size), y_query]
+    logits = _draw_logits(params, beta_draws, fwd.stats.b_beta, fwd.query_global, fwd.query_local)
+    nll = _logsumexp(logits.swapaxes(0, 1)) - logits[:, y_query, np.arange(y_query.size)]
     gibbs_nll = float(nll.sum()) / cfg.posterior_samples
     kl = float(kl_diag(q, params.arch.prior))
     return ClientAudit(fwd.stats.b_beta, beta_draws, y_query.size, gibbs_nll, kl)
@@ -307,7 +363,8 @@ def bound_holds_check(
     Monte-Carlo true risk of the posterior-averaged predictive on fresh
     inputs (exact inner expectation over labels). ``slack`` is the
     delta-scaled log-moment term that ``estimate_slack`` returns, shared
-    across trials.
+    across trials. A NaN risk raises ``NonFiniteError`` naming the trial
+    and client.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -317,23 +374,26 @@ def bound_holds_check(
     draws = cfg.posterior_samples
     eval_points = max(2, math.ceil(10_000 / task.cfg.c))
     holds = 0
-    for _ in range(trials):
+    for trial in range(trials):
         emp = kl_total = true = 0.0
         for k in range(task.cfg.c):
             x, probs = draw_client_inputs(task, k, task.n_per_client[k], rng)
             y = _sample_categorical_rows(probs, rng)
             audit = client_posterior_audit(params, x, y, cfg, rng)
-            emp += audit.gibbs_nll
-            kl_total += audit.kl
 
             x_eval, p_eval = draw_client_inputs(task, k, eval_points, rng)
             g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
-            local = np.broadcast_to(l_eval, (draws, *l_eval.shape))
-            logits = predict_logits(params, audit.beta_draws, audit.b_beta, g_eval, local)
-            log_probs = logits - _logsumexp(logits)[..., None]
-            # log of the predictive averaged over the S draws of [S x P x K]
-            log_predictive = _logsumexp(np.moveaxis(log_probs, 0, -1)) - math.log(draws)
-            true += audit.n_query * float(-(p_eval * log_predictive).sum(axis=1).mean())
+            logits = _draw_logits(params, audit.beta_draws, audit.b_beta, g_eval, l_eval)
+            log_probs = logits - _logsumexp(logits.swapaxes(0, 1))[:, None]
+            # log of the predictive averaged over the S draws, [K x P]
+            log_predictive = _logsumexp(log_probs) - math.log(draws)
+            risk = audit.n_query * float(-(p_eval.T * log_predictive).sum(axis=0).mean())
+            for what, value in (("empirical risk", audit.gibbs_nll), ("true risk", risk)):
+                if math.isnan(value):
+                    raise NonFiniteError(f"{what} is NaN").add_context(trial=trial, client=k)
+            emp += audit.gibbs_nll
+            kl_total += audit.kl
+            true += risk
         rhs = pacbayes_rhs(emp, kl_total, cfg.eta, cfg.delta, slack - math.log(1.0 / cfg.delta))
         if rhs >= true:
             holds += 1

@@ -382,6 +382,9 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
     audits = [
         bounds_mod.client_posterior_audit(params, c.x, c.y, cfg.pac, rng) for c in ds.clients
     ]
+    for client, audit in zip(ds.clients, audits):
+        if math.isnan(audit.gibbs_nll):
+            raise NonFiniteError("empirical risk is NaN").add_context(client=client.client_id)
     emp = sum(a.gibbs_nll for a in audits)
     kl_total = sum(a.kl for a in audits)
 

@@ -27,6 +27,7 @@ from fedvi.bounds import (
 from fedvi.datagen import GenConfig, _sample_categorical_rows
 from fedvi.federation import TrainConfig, iter_local_batches, run_training
 from fedvi.model import (
+    ArchConfig,
     embed,
     forward_batch,
     init_params,
@@ -34,6 +35,7 @@ from fedvi.model import (
     predict_logits,
     split_features,
 )
+from fedvi.nn import NonFiniteError
 from fedvi.seeding import DOMAIN_CLIENT, substream
 
 from conftest import small_arch
@@ -175,6 +177,13 @@ class TestScaledLogMoment:
             out = scaled_log_moment(np.array([0.0, math.inf]), 0.1)
         assert out == math.inf
 
+    def test_nan_gap_is_a_non_finite_error(self):
+        # A NaN gap used to give a NaN slack, written to bound.csv with exit 0.
+        with pytest.raises(NonFiniteError, match="^slack estimate: 1 of 2 gap samples are NaN$"):
+            scaled_log_moment(np.array([math.nan, 1.0]), 0.1)
+        with pytest.raises(NonFiniteError, match="1 of 2 gap samples are NaN"):
+            scaled_log_moment(np.array([math.inf, math.nan]), 0.1)
+
     def test_no_overflow_for_huge_gaps(self):
         out = scaled_log_moment(np.array([5000.0, 4000.0]), 0.5)
         assert math.isfinite(out)
@@ -244,12 +253,50 @@ class TestEstimateSlack:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    def test_pool_memory_stays_bounded_by_the_tile(self):
+        # Few rows, many hypotheses: a hypothesis slice sized by the data
+        # tile alone would score all 400 on the 2048 pool rows at once
+        # (19 MiB of logits); the pool takes slices of its own.
+        _, task = toy_task(c=2, n=(10, 12), d=4, k=3, seed=4)
+        tracemalloc.start()
+        try:
+            estimate_slack(task, generator_prior(task), 1.0, 0.1, 400, 50, substream(3, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     def test_prior_dimension_checked(self):
         ds, task = toy_task()
         from fedvi.distributions import standard_prior
 
         with pytest.raises(ValueError):
             estimate_slack(task, standard_prior(3, 1.0), 1.0, 0.1, 5, 5, substream(0, 0))
+
+
+class TestDrawLogits:
+    @pytest.mark.parametrize("batch, draws", [(24, 16), (2, 5), (24, 1)])
+    def test_equals_predict_logits_draw_by_draw(self, batch, draws, rng):
+        # The audits score all draws in one GEMM; training scores through
+        # predict_logits. Each draw's [K x Q] slice is its logits, bit for
+        # bit. A batch of 2 leaves one query row.
+        arch = ArchConfig(
+            input_dim=4, embed_widths=(8, 6), local_dim=2, global_dim=4, num_classes=3,
+            posterior_widths=(16, 16),
+        )
+        params = init_params(arch, rng)
+        fwd = forward_batch(params, rng.standard_normal((batch, arch.input_dim)))
+        q = fwd.stats.q
+        betas = q.mean + q.scale * rng.standard_normal((draws, q.dim))
+        got = bounds._draw_logits(
+            params, betas, fwd.stats.b_beta, fwd.query_global, fwd.query_local
+        )
+        assert got.shape == (draws, arch.num_classes, batch - fwd.support_size)
+        for beta, logits in zip(betas, got):
+            want = predict_logits(
+                params, beta, fwd.stats.b_beta, fwd.query_global, fwd.query_local
+            )
+            assert np.array_equal(logits.T, want)
 
 
 class TestBoundHoldsCheck:
@@ -281,6 +328,31 @@ class TestBoundHoldsCheck:
         for rhs, emp, kl in zip(res.rhs_values, res.empirical_risks, res.kl_values):
             want = pacbayes_rhs(emp, kl, pb.eta, pb.delta, 7.0 - math.log(1 / pb.delta))
             assert abs(rhs - want) < 1e-10
+
+    @pytest.mark.parametrize("stage, what", [
+        ("client_posterior_audit", "empirical risk"),
+        ("embed", "true risk"),
+    ])
+    def test_nan_risk_names_trial_and_client(self, stage, what, monkeypatch):
+        # A NaN risk used to count as a trial where the bound fails. Four
+        # clients a trial, so the sixth call is trial 1's client 1.
+        task, params = self._trained()
+        original = getattr(bounds, stage)
+        calls = []
+
+        def poisoned(*args):
+            out = original(*args)
+            calls.append(stage)
+            if len(calls) != 6:
+                return out
+            if stage == "embed":
+                return np.full_like(out, np.nan)
+            return out._replace(gibbs_nll=math.nan)
+
+        monkeypatch.setattr(bounds, stage, poisoned)
+        pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
+        with pytest.raises(NonFiniteError, match=f"^trial 1, client 1: {what} is NaN$"):
+            bound_holds_check(task, params, pb, 3, substream(4, 4), slack=5.0)
 
     def test_stacked_draws_match_a_per_draw_loop_when_a_class_underflows(self):
         # Class 0's classifier bias is so low that its softmax probability is

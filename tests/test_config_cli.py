@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedvi import cli, federation
+from fedvi import bounds, cli, federation
 from fedvi.cli import load_params, main, read_metrics, save_params
 from fedvi.config import ConfigError, parse_config, parse_config_text
 from fedvi.model import init_params
@@ -526,6 +526,42 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert re.search(r"numeric failure: round 2: \S", err), err
+
+    def test_nan_slack_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # NaN slack inputs used to put "nan" in bound.csv with exit 0.
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        original = bounds.draw_client_inputs
+
+        def draw_nan_inputs(task, k, n, rng):
+            x, probs = original(task, k, n, rng)
+            return np.full_like(x, np.nan), probs
+
+        monkeypatch.setattr(bounds, "draw_client_inputs", draw_nan_inputs)
+        args = ["bound", "--config", cfg, "--out", str(out), "--params", str(out / "params.bin")]
+        assert main(args) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        pattern = r"numeric failure: slack estimate: \d+ of \d+ gap samples are NaN"
+        assert re.search(pattern, err), err
+        assert not (out / "bound.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_nan_empirical_risk_is_a_numeric_failure(self, tmp_path, capsys):
+        # Finite classifier weights near the float64 limit overflow the
+        # audit's logits to inf, and their log-sum-exp to NaN, which used
+        # to reach bound.csv with exit 0.
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        params = load_params(out / "params.bin")
+        params.theta_cls[-2].value.array[...] *= 1e308
+        save_params(params, out / "huge.bin")
+        args = ["bound", "--config", cfg, "--out", str(out), "--params", str(out / "huge.bin")]
+        assert main(args) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert re.search(r"numeric failure: client \d+: empirical risk is NaN", err), err
+        assert not (out / "bound.csv").exists()
 
     def test_missing_params_file(self, tmp_path):
         cfg = write_cfg(tmp_path)
