@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, check_cohort_fits, parse_config
 from .datagen import (
     DatasetVersionError,
     FederatedDataset,
@@ -32,7 +32,7 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .federation import ALGORITHMS, RunResult, evaluate, run_training
+from .federation import ALGORITHMS, DegenerateRoundError, RunResult, evaluate, run_training
 from .model import ArchConfig, FedVIParams, ParamBlock, block_shapes, params_from_blocks
 from .nn import NonFiniteError
 from .seeding import DOMAIN_ABLATION, DOMAIN_BOUND, substream
@@ -220,6 +220,7 @@ def _dataset_for(cfg: ExperimentConfig) -> tuple[FederatedDataset, SyntheticTask
             f"dataset {cfg.dataset_path} has input_dim={d}, num_classes={ds.num_classes}; "
             f"config says {cfg.arch.input_dim}, {cfg.arch.num_classes}"
         )
+    check_cohort_fits(cfg.train.cohort_size, len(ds.clients), ds.holdout_count, cfg.dataset_path)
     return ds, None
 
 
@@ -295,54 +296,22 @@ def ablation_grid(cfg: ExperimentConfig, taus: list[float]) -> list[float]:
     return sorted(set(taus) | {0.0})
 
 
-def run_ablation(
-    cfg: ExperimentConfig,
-    ds: FederatedDataset,
-    grid: list[float],
-    on_row=None,
-) -> list[tuple[float, float, float, float]]:
-    """One full training run per KL weight of ``grid`` over a shared dataset.
-
-    Each weight trains under its own derived seed. Returns (tau, part_acc,
-    nonpart_acc, gap) rows in grid order; on a failing run the rows
-    completed so far are still delivered through ``on_row`` before the
-    error propagates.
-    """
-    rows: list[tuple[float, float, float, float]] = []
-    for i, tau in enumerate(grid):
-        train_cfg = dataclasses.replace(cfg.train, tau=tau, seed=_ablation_seed(cfg.seed, i))
-        result = run_training(train_cfg, cfg.arch, ds)
-        s = result.summary
-        row = (tau, s["part_acc"], s["nonpart_acc"], s["gap"])
-        rows.append(row)
-        if on_row is not None:
-            on_row(row)
-    return rows
-
-
 def cmd_ablate(cfg: ExperimentConfig, taus: list[float], out_arg: str | None) -> int:
+    """One full training run per KL weight of the grid over a shared dataset,
+    each under its own derived seed. ``ablation.csv`` is rewritten after
+    every run, so a sweep that fails or is killed keeps the rows it finished."""
     grid = ablation_grid(cfg, taus)
     ds, _ = _dataset_for(cfg)
-    out = _out_dir(cfg, out_arg)
-    rows: list[tuple[float, float, float, float]] = []
-    path = out / "ablation.csv"
-
-    def flush() -> None:
-        lines = _provenance("ablation", cfg) + ["tau,part_acc,nonpart_acc,gap"]
-        for tau, part, nonpart, gap in rows:
-            lines.append(f"{_fmt(tau)},{_fmt(part)},{_fmt(nonpart)},{_fmt(gap)}")
+    path = _out_dir(cfg, out_arg) / "ablation.csv"
+    lines = _provenance("ablation", cfg) + ["tau,part_acc,nonpart_acc,gap"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for i, tau in enumerate(grid):
+        train_cfg = dataclasses.replace(cfg.train, tau=tau, seed=_ablation_seed(cfg.seed, i))
+        s = run_training(train_cfg, cfg.arch, ds).summary
+        part, nonpart, gap = (_fmt(s[key]) for key in ("part_acc", "nonpart_acc", "gap"))
+        lines.append(f"{_fmt(tau)},{part},{nonpart},{gap}")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    def on_row(row) -> None:
-        rows.append(row)
-        print(
-            f"tau={row[0]:g}: part={row[1]:.4f} nonpart={_fmt(row[2])} gap={_fmt(row[3])}"
-        )
-
-    try:
-        run_ablation(cfg, ds, grid, on_row=on_row)
-    finally:
-        flush()
+        print(f"tau={tau:g}: part={part} nonpart={nonpart} gap={gap}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -482,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bound":
             return cmd_bound(cfg, args.params, args.out, args.check)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, DegenerateRoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MalformedDatasetError, DatasetVersionError, ParamsFormatError, OSError) as exc:

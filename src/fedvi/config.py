@@ -153,6 +153,15 @@ def _read_entries(text: str, origin: str) -> dict[tuple[str, str], object]:
     return values
 
 
+def check_cohort_fits(cohort_size: int, clients: int, holdout: int, origin: str) -> None:
+    """ConfigError unless a cohort fits among the clients that are not held out."""
+    if cohort_size > clients - holdout:
+        raise ConfigError(
+            f"{origin}: train.cohort_size = {cohort_size} exceeds "
+            f"data.clients - data.holdout = {clients - holdout}"
+        )
+
+
 def build_config(
     values: dict[tuple[str, str], object],
     origin: str = "<config>",
@@ -195,12 +204,7 @@ def build_config(
             )
         except ValueError as exc:
             raise ConfigError(f"{origin}: [data]: {exc}") from exc
-        participants = gen.c - gen.holdout_count
-        if get("train", "cohort_size") > participants:
-            raise ConfigError(
-                f"{origin}: train.cohort_size = {get('train', 'cohort_size')} exceeds "
-                f"data.clients - data.holdout = {participants}"
-            )
+        check_cohort_fits(get("train", "cohort_size"), gen.c, gen.holdout_count, origin)
     else:
         dataset_path = get("data", "path")
         if not dataset_path:

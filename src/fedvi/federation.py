@@ -5,10 +5,11 @@ mini-batch gradient descent on copies of the server parameters, aggregate
 example-weighted pseudo-gradients (initial minus final), and apply them
 with server-side SGD momentum. Clients keep no state between rounds.
 
-The cohort trains in lockstep: at each local step, the clients whose
-batches have the same size take one stacked step together. Each client's
-slice of a stacked step computes exactly what its step alone would, so a
-client's update does not depend on the rest of its cohort.
+The cohort trains in lockstep, one row of stacked parameters per client:
+at each local step, every run of adjacent rows whose batches have the same
+size takes one stacked step together. Each client's slice of a stacked
+step computes exactly what its step alone would, so a client's update does
+not depend on the rest of its cohort.
 
 Every random draw comes from a counter-derived substream keyed by
 (seed, domain, round, client), so the whole run is a pure function of
@@ -17,6 +18,7 @@ Every random draw comes from a counter-derived substream keyed by
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -69,6 +71,11 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+
+
+class DegenerateRoundError(RuntimeError):
+    """No client of a round's cohort has a batch of 2 training examples, so
+    the round has no update to apply."""
 
 
 @dataclass
@@ -175,9 +182,10 @@ def client_update(
 
     Client k draws its minibatches and noise from ``rngs[k]``. The global
     parameters are copied once into stacked blocks, one row per client;
-    at local step t, the clients whose t-th batches have the same size take
-    one stacked step (loss, backward, SGD update) together. A cohort of one
-    client computes exactly what that client computes in any cohort.
+    at local step t, every maximal run of adjacent rows whose t-th batches
+    have the same size takes one stacked step (loss, backward, SGD update)
+    on views of its rows. A cohort of one client computes exactly what that
+    client computes in any cohort.
 
     Each ClientUpdate holds the pseudo-gradient delta = initial - final,
     the client's training example count as aggregation weight, and loss
@@ -193,7 +201,7 @@ def client_update(
     ]
     # Rows in descending order of the clients' batch-size sequences: with
     # one local epoch, the clients that share a batch size at a step are
-    # then adjacent rows, and a group's parameters are views, not copies.
+    # then adjacent rows and take one stacked step.
     order = sorted(
         (k for k, plan in enumerate(plans) if plan),
         key=lambda k: [xb.shape[0] for xb, _, _ in plans[k]],
@@ -202,21 +210,20 @@ def client_update(
     params = global_params.stacked(len(order))
     loss_sum, nll_sum, reg_sum, kl_sum = (np.zeros(len(order)) for _ in range(4))
     for t in range(max((len(plans[k]) for k in order), default=0)):
-        groups: dict[int, list[int]] = {}
-        for row, k in enumerate(order):
-            if t < len(plans[k]):
-                groups.setdefault(plans[k][t][0].shape[0], []).append(row)
+        # Batch size of each row at step t; 0 for a row whose plan has ended.
+        sizes = [plans[k][t][0].shape[0] if t < len(plans[k]) else 0 for k in order]
         failed: list[int] = []
-        for size, rows in groups.items():
-            group, index = _group(params, rows)
-            try:
-                parts = _stacked_step(group, [plans[order[r]][t] for r in rows], cfg)
-            except nn.NonFiniteError:
-                failed += rows
+        hi = 0
+        for size, run in itertools.groupby(sizes):
+            lo, hi = hi, hi + len(list(run))
+            if not size:
                 continue
-            if index is not None:  # write the group's copies back
-                for block, own in zip(params.all_blocks(), group.all_blocks()):
-                    block.value.array[index] = own.value.array
+            rows = slice(lo, hi)
+            try:
+                parts = _stacked_step(params.rows(rows), [plans[k][t] for k in order[rows]], cfg)
+            except nn.NonFiniteError:
+                failed += range(lo, hi)
+                continue
             loss_sum[rows] += parts.loss
             nll_sum[rows] += parts.nll
             reg_sum[rows] += parts.kl / size
@@ -258,16 +265,6 @@ def client_update(
     )
 
 
-def _group(params: FedVIParams, rows: list[int]) -> tuple[FedVIParams, np.ndarray | None]:
-    """The stacked parameters of ``rows``: views when the rows are
-    consecutive, else copies, returned with the index array to write them
-    back to."""
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return params.rows(slice(rows[0], rows[-1] + 1)), None
-    index = np.array(rows)
-    return params.rows(index), index
-
-
 def _stacked_step(
     params: FedVIParams,
     batches: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
@@ -282,11 +279,10 @@ def _stacked_step(
     else:
         loss, parts = global_branch_loss(params, xb, yb)
     grads = nn.backward(loss)
-    if cfg.client_lr != 0.0:
-        for block in params.all_blocks():
-            g = grads.get(block.name)
-            if g is not None:
-                block.value.array -= cfg.client_lr * g
+    for block in params.all_blocks():
+        g = grads.get(block.name)
+        if g is not None:
+            block.value.array -= cfg.client_lr * g
     return parts
 
 
@@ -446,7 +442,10 @@ def run_training(
             updates = sorted(trained.updates, key=lambda u: u.client_id)
             total_skipped += trained.skipped
             if not updates:
-                raise RuntimeError(f"round {round_index}: every cohort client was degenerate")
+                raise DegenerateRoundError(
+                    f"round {round_index}: every cohort client was degenerate "
+                    "(no batch of 2 training examples)"
+                )
             server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
             cumulative_steps += trained.steps
 

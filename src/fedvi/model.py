@@ -125,8 +125,8 @@ class FedVIParams:
 
         return self._map(stack)
 
-    def rows(self, sel: slice | np.ndarray) -> "FedVIParams":
-        """The clients ``sel`` of stacked parameters (``ParamBlock.rows``)."""
+    def rows(self, sel: slice) -> "FedVIParams":
+        """The clients ``sel`` of stacked parameters, as views (``ParamBlock.rows``)."""
         return self._map(lambda b: b.rows(sel))
 
     def _map(self, fn) -> "FedVIParams":
@@ -454,7 +454,7 @@ def minibatch_loss(
     prior = arch.prior
     kl = kl_diag(q, prior)
     weight = tau / batch
-    value = nll if weight == 0.0 else nll + weight * kl
+    value = nll + weight * kl
     nn.assert_all_finite(value, "minibatch loss")
     blocks = params.all_blocks()
 
@@ -470,10 +470,9 @@ def minibatch_loss(
         d_beta = d_weights_t.swapaxes(-1, -2).reshape(beta.shape)
         d_query_local = d_logits_g @ weights
         d_mean, d_scale = sample_reparam_grad(noise, d_beta)
-        if weight != 0.0:
-            kl_mean, kl_scale = kl_diag_grad(q, prior)
-            d_mean = d_mean + (g * weight) * kl_mean
-            d_scale = d_scale + (g * weight) * kl_scale
+        kl_mean, kl_scale = kl_diag_grad(q, prior)
+        d_mean = d_mean + (g * weight) * kl_mean
+        d_scale = d_scale + (g * weight) * kl_scale
         d_support_global = _posterior_backward(
             params, fwd.stats, fwd.post_acts, d_mean, d_scale,
             d_logits_g.sum(axis=-2), out,

@@ -17,7 +17,6 @@ must never share code with the reverse-mode path.
 
 from __future__ import annotations
 
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,13 +61,10 @@ class Tensor:
 
     ``parents`` and ``_push`` are empty for leaves. ``_push(grad, sink)``
     propagates an upstream gradient to the parents through ``sink``.
-    ``param`` is a weak reference to the ParamBlock a leaf belongs to: weak,
-    so that a block and its leaf form no reference cycle and a discarded
-    copy of the parameters is freed at once, not at the next cyclic
-    garbage collection.
+    ``name`` is the name of the ParamBlock a leaf belongs to.
     """
 
-    __slots__ = ("array", "parents", "_push", "requires_grad", "param")
+    __slots__ = ("array", "parents", "_push", "requires_grad", "name")
 
     # Defer mixed ndarray/Tensor arithmetic to the reflected operators below.
     __array_ufunc__ = None
@@ -79,13 +75,13 @@ class Tensor:
         parents: tuple["Tensor", ...] = (),
         push: Callable | None = None,
         requires_grad: bool = False,
-        param: "weakref.ref[ParamBlock] | None" = None,
+        name: str | None = None,
     ):
         self.array = array
         self.parents = parents
         self._push = push
         self.requires_grad = requires_grad
-        self.param = param
+        self.name = name
 
     @staticmethod
     def const(value) -> "Tensor":
@@ -145,7 +141,7 @@ def _coerce(value) -> Tensor:
 class ParamBlock:
     """A named trainable array."""
 
-    __slots__ = ("name", "value", "__weakref__")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str, value) -> None:
         arr = _as_array(value).copy()
@@ -154,16 +150,15 @@ class ParamBlock:
 
     def _bind(self, name: str, arr: np.ndarray) -> None:
         self.name = name
-        self.value = Tensor(arr, requires_grad=True, param=weakref.ref(self))
+        self.value = Tensor(arr, requires_grad=True, name=name)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def rows(self, sel) -> "ParamBlock":
+    def rows(self, sel: slice) -> "ParamBlock":
         """The block's rows ``sel`` (along the first axis) as a block of
-        their own: a view of this block's array for a slice, a copy for an
-        index array."""
+        their own, a view of this block's array."""
         block = ParamBlock.__new__(ParamBlock)
         block._bind(self.name, self.value.array[sel])
         return block
@@ -449,8 +444,8 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
         g = grads.get(id(node))
         if g is None:
             continue
-        if node.param is not None:
-            out[node.param().name] = g
+        if node.name is not None:
+            out[node.name] = g
         if node._push is not None:
             node._push(g, sink)
     return out

@@ -12,6 +12,7 @@ from fedvi import bounds, cli, federation
 from fedvi.cli import load_params, main, read_metrics, save_params
 from fedvi.config import ConfigError, parse_config, parse_config_text
 from fedvi.model import init_params
+from fedvi.nn import NonFiniteError
 
 from conftest import small_arch
 
@@ -562,6 +563,58 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.search(r"numeric failure: client \d+: empirical risk is NaN", err), err
         assert not (out / "bound.csv").exists()
+
+    def test_file_dataset_with_too_large_a_cohort(self, tmp_path, capsys):
+        # 8 clients, 2 held out: a cohort of 7 cannot be drawn from the file
+        assert main(["generate", "--config", write_cfg(tmp_path), "--out", str(tmp_path)]) == 0
+        text = SMALL_RUN.replace(
+            "[data]\n", f"[data]\nsource = file\npath = {tmp_path / 'dataset.bin'}\n"
+        ).replace("cohort_size = 3", "cohort_size = 7")
+        code = main(["train", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: {tmp_path / 'dataset.bin'}: train.cohort_size = 7 exceeds "
+            "data.clients - data.holdout = 6\n"
+        )
+
+    def test_round_without_a_trainable_client(self, tmp_path, capsys):
+        # clients of 1 or 2 examples: no training split holds a batch of 2
+        text = SMALL_RUN.replace("n_min = 40", "n_min = 1").replace("n_max = 60", "n_max = 2")
+        code = main(["train", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "r")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: round 1: every cohort client was degenerate .*\n", err)
+
+    def test_failing_ablation_keeps_the_finished_rows(self, tmp_path, monkeypatch):
+        original = cli.run_training
+        runs = []
+
+        def run_training(train_cfg, arch, ds):
+            runs.append(train_cfg.tau)
+            if len(runs) == 2:
+                raise NonFiniteError("minibatch loss contains non-finite entries")
+            return original(train_cfg, arch, ds)
+
+        monkeypatch.setattr(cli, "run_training", run_training)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        code = main(["ablate", "--config", cfg, "--out", str(out), "--taus", "0.01"])
+        assert code == cli.EXIT_NUMERIC
+        assert runs == [0.0, 0.01]
+        lines = [
+            line
+            for line in (out / "ablation.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert lines[0] == "tau,part_acc,nonpart_acc,gap"
+        assert len(lines) == 2 and lines[1].startswith("0.0,")
+
+    def test_ablation_without_evaluated_rounds(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("rounds = 4", "rounds = 0"))
+        out = tmp_path / "run"
+        assert main(["ablate", "--config", cfg, "--out", str(out), "--taus", "0"]) == cli.EXIT_OK
+        assert (out / "ablation.csv").read_text().splitlines()[-1] == "0.0,nan,nan,nan"
 
     def test_missing_params_file(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -451,6 +451,33 @@ class TestLockstepCohort:
                 assert np.array_equal(got.delta[name], want.delta[name]), name
             assert any(np.any(d != 0.0) for d in got.delta.values())
 
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    def test_one_epoch_takes_one_step_per_batch_size(self, algorithm, monkeypatch):
+        # with one local epoch, the clients that share a batch size at a
+        # step are adjacent rows: one stacked step per distinct size
+        arch = small_arch()
+        clients = ragged_clients(substream(41, 0), arch, RAGGED_TRAIN, [4] * 7)
+        cfg = make_cfg(batch_size=8, local_epochs=1, algorithm=algorithm)
+        params = init_params(arch, substream(41, 1))
+
+        def rngs():
+            return [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in clients]
+
+        sizes = [
+            [xb.shape[0] for xb, _, _ in federation.iter_local_batches(c, cfg, arch, r)]
+            for c, r in zip(clients, rngs())
+        ]
+        expected = sum(
+            len({plan[t] for plan in sizes if t < len(plan)})
+            for t in range(max(map(len, sizes)))
+        )
+        stacked_steps = []
+        backward = nn.backward
+        monkeypatch.setattr(nn, "backward", lambda loss: stacked_steps.append(1) or backward(loss))
+        cohort = client_update(params, clients, cfg, rngs())
+        assert expected == 6  # sizes {8, 2}, {8, 5}, {5, 3}
+        assert len(stacked_steps) == expected < cohort.steps
+
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_non_finite_names_first_failing_client_of_earliest_step(self):
         # cohort order: a client that fails at batch 1, two that fail at
