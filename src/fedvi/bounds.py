@@ -100,9 +100,9 @@ def elbo_components(
 
 @dataclass(frozen=True)
 class PacBayesConfig:
-    eta: float
-    delta: float
-    slack_samples: int
+    eta: float = 1.0
+    delta: float = 0.05
+    slack_samples: int = 200
     posterior_samples: int = 16
 
     def __post_init__(self) -> None:

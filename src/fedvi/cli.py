@@ -46,7 +46,11 @@ EXIT_NUMERIC = 4
 PARAMS_MAGIC = b"FVPM"
 PARAMS_VERSION = 1
 
-METRICS_SCHEMA = "round,loss,part_acc,nonpart_acc,kl_mean,timestamp"
+# metrics.csv's columns in order, each with the type its text parses to.
+METRICS_COLUMNS = dict(
+    round=int, loss=float, part_acc=float, nonpart_acc=float, kl_mean=float, timestamp=int
+)
+METRICS_HEADER = ",".join(METRICS_COLUMNS)
 
 
 class ParamsFormatError(ValueError):
@@ -160,7 +164,7 @@ def _fmt(value) -> str:
 
 def write_metrics(result: RunResult, cfg: ExperimentConfig, path) -> None:
     """CSV of evaluated rounds behind a '#'-prefixed provenance header."""
-    lines = _provenance("metrics", cfg) + [METRICS_SCHEMA]
+    lines = _provenance("metrics", cfg) + [METRICS_HEADER]
     for r in result.reports:
         if r.part_acc is None:
             continue
@@ -187,23 +191,14 @@ def read_metrics(path) -> list[dict]:
         if line.startswith("#") or not line.strip():
             continue
         if not header_seen:
-            if line != METRICS_SCHEMA:
+            if line != METRICS_HEADER:
                 raise ValueError(f"{path}: unknown metrics schema {line!r}")
             header_seen = True
             continue
         parts = line.split(",")
-        if len(parts) != 6:
+        if len(parts) != len(METRICS_COLUMNS):
             raise ValueError(f"{path}: malformed metrics row {line!r}")
-        rows.append(
-            {
-                "round": int(parts[0]),
-                "loss": float(parts[1]),
-                "part_acc": float(parts[2]),
-                "nonpart_acc": float(parts[3]),
-                "kl_mean": float(parts[4]),
-                "timestamp": int(parts[5]),
-            }
-        )
+        rows.append({key: cast(text) for (key, cast), text in zip(METRICS_COLUMNS.items(), parts)})
     if not header_seen:
         raise ValueError(f"{path}: missing metrics header")
     return rows
@@ -280,23 +275,33 @@ def _ablation_seed(base_seed: int, index: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-def ablation_grid(cfg: ExperimentConfig, taus: list[float]) -> list[float]:
-    """The KL weights a sweep trains: ``taus`` sorted, plus zero.
+def ablation_grid(cfg: ExperimentConfig, taus: str) -> list[float]:
+    """The KL weights a sweep trains: the comma-separated ``taus`` sorted,
+    plus zero.
 
     Zero is always included so the participation gap has its reference
-    point. An empty list, or a config whose algorithm has no KL weight,
-    is a configuration error.
+    point. An empty list, an entry that is not a finite number >= 0, or a
+    config whose algorithm has no KL weight, is a configuration error.
     """
-    if not taus:
+    grid = set()
+    for text in filter(None, (t.strip() for t in taus.split(","))):
+        try:
+            tau = float(text)
+        except ValueError:
+            raise ConfigError(f"--taus: {text!r} is not a number") from None
+        if not (math.isfinite(tau) and tau >= 0):
+            raise ConfigError(f"--taus: a KL weight must be finite and >= 0, got {text}")
+        grid.add(tau)
+    if not grid:
         raise ConfigError("ablation requires a nonempty tau list")
     if cfg.train.algorithm != "fedvi":
         raise ConfigError(
             f"ablation sweeps fedvi's KL weight; train.algorithm is {cfg.train.algorithm!r}"
         )
-    return sorted(set(taus) | {0.0})
+    return sorted(grid | {0.0})
 
 
-def cmd_ablate(cfg: ExperimentConfig, taus: list[float], out_arg: str | None) -> int:
+def cmd_ablate(cfg: ExperimentConfig, taus: str, out_arg: str | None) -> int:
     """One full training run per KL weight of the grid over a shared dataset,
     each under its own derived seed. ``ablation.csv`` is rewritten after
     every run, so a sweep that fails or is killed keeps the rows it finished."""
@@ -444,8 +449,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(cfg, args.out)
         if args.command == "ablate":
-            taus = [float(t) for t in args.taus.split(",") if t.strip()]
-            return cmd_ablate(cfg, taus, args.out)
+            return cmd_ablate(cfg, args.taus, args.out)
         if args.command == "eval":
             return cmd_eval(cfg, args.params, args.out)
         if args.command == "bound":

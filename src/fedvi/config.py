@@ -9,7 +9,8 @@ the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import math
 
 from .bounds import PacBayesConfig
 from .datagen import GenConfig
@@ -21,21 +22,36 @@ class ConfigError(ValueError):
     """Invalid configuration; message carries key name and line number."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in text.split(","))
 
 
+# Keyed by annotation text: under ``from __future__ import annotations`` a
+# dataclass field's ``type`` is the string it was written as.
 _CONVERTERS = {
     "int": int,
     "float": float,
     "str": str,
-    "int_list": _parse_int_list,
+    "tuple[int, ...]": _parse_int_tuple,
 }
 
+# Fields that build_config fills from another section: [data] and [run].
+_FILLED_ELSEWHERE = ("input_dim", "num_classes", "seed")
+
+
+def _field_rows(section: str, cls) -> dict[tuple[str, str], tuple[str, object]]:
+    """One schema row per field of ``cls``: the field's type and default."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in _FILLED_ELSEWHERE]
+    for f in fields:
+        if f.default is dataclasses.MISSING or f.type not in _CONVERTERS:
+            raise TypeError(f"{cls.__name__}.{f.name} needs a default and a config type")
+    return {(section, f.name): (f.type, f.default) for f in fields}
+
+
 # (section, key) -> (type name, default), in render order. None means "no
-# default, optional". The [arch], [train] and [bound] keys are the field names
-# of ArchConfig, TrainConfig and PacBayesConfig (bound.trials aside), which
-# build_config fills by name.
+# default, optional". The [arch], [train] and [bound] rows are the fields of
+# ArchConfig, TrainConfig and PacBayesConfig (bound.trials aside), which
+# declare their types and defaults; build_config fills them by name.
 SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("data", "source"): ("str", "generate"),
     ("data", "path"): ("str", None),
@@ -48,28 +64,9 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
     ("data", "sigma_beta"): ("float", 2.0),
     ("data", "input_shift_scale"): ("float", 1.0),
     ("data", "data_seed"): ("int", None),
-    ("arch", "embed_widths"): ("int_list", (32, 20)),
-    ("arch", "local_dim"): ("int", 4),
-    ("arch", "global_dim"): ("int", 16),
-    ("arch", "posterior_widths"): ("int_list", (64, 64)),
-    ("arch", "support_fraction"): ("float", 0.5),
-    ("arch", "mean_damp"): ("float", 2.0),
-    ("arch", "logscale_damp"): ("float", 2.0),
-    ("arch", "scale_floor"): ("float", 1e-5),
-    ("train", "rounds"): ("int", 200),
-    ("train", "cohort_size"): ("int", 8),
-    ("train", "client_lr"): ("float", 0.05),
-    ("train", "server_lr"): ("float", 1.0),
-    ("train", "server_momentum"): ("float", 0.9),
-    ("train", "local_epochs"): ("int", 1),
-    ("train", "batch_size"): ("int", 32),
-    ("train", "tau"): ("float", 0.01),
-    ("train", "algorithm"): ("str", "fedvi"),
-    ("train", "eval_every"): ("int", 10),
-    ("bound", "eta"): ("float", 1.0),
-    ("bound", "delta"): ("float", 0.05),
-    ("bound", "slack_samples"): ("int", 200),
-    ("bound", "posterior_samples"): ("int", 16),
+    **_field_rows("arch", ArchConfig),
+    **_field_rows("train", TrainConfig),
+    **_field_rows("bound", PacBayesConfig),
     ("bound", "trials"): ("int", 100),
     ("run", "seed"): ("int", 0),
     ("run", "label"): ("str", "run"),
@@ -78,7 +75,7 @@ SCHEMA: dict[tuple[str, str], tuple[str, object]] = {
 _SECTIONS = ("data", "arch", "train", "bound", "run")
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     """Resolved experiment settings for one run."""
 
@@ -174,6 +171,12 @@ def build_config(
         if spec_key not in SCHEMA:
             raise ConfigError(f"{origin}: unknown override key {spec_key!r}")
         v[spec_key] = value
+    for (section, key), value in v.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{origin}: {section}.{key} = {value!r} is not finite")
+    for section, key in (("run", "seed"), ("data", "data_seed")):
+        if v[(section, key)] is not None and v[(section, key)] < 0:
+            raise ConfigError(f"{origin}: {section}.{key} = {v[(section, key)]} is negative")
     seed = v[("run", "seed")]
 
     def get(section: str, key: str):

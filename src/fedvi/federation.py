@@ -44,17 +44,17 @@ ALGORITHMS = ("fedvi", "fedavg")
 
 @dataclass(frozen=True)
 class TrainConfig:
-    rounds: int
-    cohort_size: int
-    client_lr: float
-    server_lr: float
-    server_momentum: float
-    local_epochs: int
-    batch_size: int
-    tau: float
     seed: int
-    eval_every: int
+    rounds: int = 200
+    cohort_size: int = 8
+    client_lr: float = 0.05
+    server_lr: float = 1.0
+    server_momentum: float = 0.9
+    local_epochs: int = 1
+    batch_size: int = 32
+    tau: float = 0.01
     algorithm: str = "fedvi"
+    eval_every: int = 10
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
@@ -74,8 +74,8 @@ class TrainConfig:
 
 
 class DegenerateRoundError(RuntimeError):
-    """No client of a round's cohort has a batch of 2 training examples, so
-    the round has no update to apply."""
+    """No client of a round's cohort has a batch of ``ArchConfig.min_batch``
+    training examples, so the round has no update to apply."""
 
 
 @dataclass
@@ -154,8 +154,9 @@ def iter_local_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Yield (x, y, noise) minibatches for one local pass.
 
-    Reshuffles every epoch; a trailing batch smaller than 2 examples is
-    dropped because the support/query split needs both halves nonempty.
+    Reshuffles every epoch; a trailing batch smaller than ``arch.min_batch``
+    is dropped because the support/query split needs both halves nonempty.
+    Both algorithms drop it, so they train on the same batches.
     The noise vector for the local-weight sample is drawn here (fresh per
     batch) so that replaying with the same generator replays training
     exactly.
@@ -166,7 +167,7 @@ def iter_local_batches(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            if idx.size < 2:
+            if idx.size < arch.min_batch:
                 continue
             noise = rng.standard_normal(arch.beta_dim) if cfg.algorithm == "fedvi" else None
             yield x_tr[idx], y_tr[idx], noise
@@ -189,16 +190,13 @@ def client_update(
 
     Each ClientUpdate holds the pseudo-gradient delta = initial - final,
     the client's training example count as aggregation weight, and loss
-    statistics. Clients with fewer than 2 training examples, or no batch
-    of 2, are skipped. The copies are discarded: clients are stateless. A
-    NonFiniteError names the client and batch index of the first failing
-    client in cohort order, at the earliest failing step.
+    statistics. Clients with no batch of ``arch.min_batch`` are skipped.
+    The copies are discarded: clients are stateless. A NonFiniteError
+    names the client and batch index of the first failing client in
+    cohort order, at the earliest failing step.
     """
     arch = global_params.arch
-    plans = [
-        list(iter_local_batches(client, cfg, arch, rng)) if client.n_train >= 2 else []
-        for client, rng in zip(clients, rngs)
-    ]
+    plans = [list(iter_local_batches(c, cfg, arch, rng)) for c, rng in zip(clients, rngs)]
     # Rows in descending order of the clients' batch-size sequences: with
     # one local epoch, the clients that share a batch size at a step are
     # then adjacent rows and take one stacked step.
@@ -335,26 +333,27 @@ def evaluate(
     The personalized path batches each client's test set, rebuilds the
     posterior from the batch's own unlabeled support half, sets the local
     weights to the posterior mean, and counts accuracy on query halves
-    only; a tail batch of one example is skipped. The non-personalized
-    path scores the global branch on all test examples. Clients with fewer
-    than 2 test examples, or no batch of 2, are excluded.
+    only; a tail batch smaller than ``arch.min_batch`` is skipped. The
+    non-personalized path scores the global branch on all test examples.
+    Clients with no test batch of ``arch.min_batch`` are excluded.
 
     Test batches of equal size, across all clients, go through one stacked
     forward pass with the shared weights (whole test sets of equal size on
     the non-personalized path). Forward passes only: no graph node is built.
     """
+    min_batch = params.arch.min_batch
     by_size: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     n_tests = []
     for k, client in enumerate(clients):
         x_te, y_te = client.test_arrays()
         n = x_te.shape[0]
         n_tests.append(n)
-        if n < 2:
+        if n < min_batch:
             continue
         step = n if cfg.algorithm == "fedavg" else cfg.batch_size
         for start in range(0, n, step):
             xb = x_te[start : start + step]
-            if xb.shape[0] >= 2:
+            if xb.shape[0] >= min_batch:
                 by_size.setdefault(xb.shape[0], []).append((k, xb, y_te[start : start + step]))
     correct = [0] * len(clients)
     seen = [0] * len(clients)
@@ -444,7 +443,7 @@ def run_training(
             if not updates:
                 raise DegenerateRoundError(
                     f"round {round_index}: every cohort client was degenerate "
-                    "(no batch of 2 training examples)"
+                    f"(no batch of {arch.min_batch} training examples)"
                 )
             server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
             cumulative_steps += trained.steps

@@ -29,6 +29,7 @@ bit-identical to the 2-D case.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,11 +54,11 @@ class ArchConfig:
     """Architecture hyperparameters; embed_widths ends in the representation size."""
 
     input_dim: int
-    embed_widths: tuple[int, ...]
-    local_dim: int
-    global_dim: int
     num_classes: int
-    posterior_widths: tuple[int, ...] = (256, 256)
+    embed_widths: tuple[int, ...] = (32, 20)
+    local_dim: int = 4
+    global_dim: int = 16
+    posterior_widths: tuple[int, ...] = (64, 64)
     support_fraction: float = 0.5
     mean_damp: float = 2.0
     logscale_damp: float = 2.0
@@ -93,6 +94,15 @@ class ArchConfig:
     @property
     def prior_scale(self) -> float:
         return glorot_scale(self.local_dim, self.num_classes)
+
+    @functools.cached_property
+    def min_batch(self) -> int:
+        """The smallest batch ``split_support_query`` accepts: 2 at a
+        support fraction of 0.5, more below it. Smaller batches are dropped."""
+        size = max(2, math.floor(1.0 / self.support_fraction))
+        while int(self.support_fraction * size) < 1:
+            size += 1
+        return size
 
     @functools.cached_property
     def prior(self) -> DiagGaussian:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import struct
@@ -8,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedvi import bounds, cli, federation
+from fedvi import bounds, cli, config, federation
+from fedvi.bounds import PacBayesConfig
 from fedvi.cli import load_params, main, read_metrics, save_params
 from fedvi.config import ConfigError, parse_config, parse_config_text
-from fedvi.model import init_params
+from fedvi.federation import TrainConfig
+from fedvi.model import ArchConfig, init_params
 from fedvi.nn import NonFiniteError
 
 from conftest import small_arch
@@ -133,6 +136,50 @@ class TestParseConfig:
     def test_file_source_requires_path(self):
         with pytest.raises(ConfigError, match="data.path"):
             parse_config_text("[data]\nsource = file\n")
+
+    def test_dataclass_defaults_equal_an_empty_config(self):
+        cfg = parse_config_text("[run]\nseed = 0\n")
+        assert cfg.arch == ArchConfig(input_dim=16, num_classes=5)
+        assert cfg.train == TrainConfig(seed=0)
+        assert cfg.pac == PacBayesConfig()
+
+    def test_schema_rows_are_the_dataclass_fields(self):
+        derived = {"arch": ArchConfig, "train": TrainConfig, "bound": PacBayesConfig}
+        for section, cls in derived.items():
+            keys = [key for sec, key in config.SCHEMA if sec == section and key != "trials"]
+            names = [f.name for f in dataclasses.fields(cls)]
+            assert keys == [n for n in names if n not in ("input_dim", "num_classes", "seed")]
+
+    def test_field_without_a_default_cannot_be_a_config_key(self):
+        @dataclasses.dataclass
+        class Settings:
+            width: int
+
+        with pytest.raises(TypeError, match="Settings.width needs a default"):
+            config._field_rows("arch", Settings)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[bound]\neta = inf\n", "bound.eta = inf"),
+            ("[data]\nsigma_beta = nan\n", "data.sigma_beta = nan"),
+            ("[arch]\nmean_damp = -inf\n", "arch.mean_damp = -inf"),
+        ],
+    )
+    def test_non_finite_float_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"{re.escape(key)} is not finite"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("[run]\nseed = -1\n", "run.seed = -1"),
+            ("[data]\ndata_seed = -3\n", "data.data_seed = -3"),
+        ],
+    )
+    def test_negative_seed_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"{key} is negative"):
+            parse_config_text(text)
 
 
 class TestParamsFile:
@@ -656,6 +703,43 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", write_cfg(tmp_path), flag, value])
         assert exc.value.code == 2
+
+    def test_non_finite_file_value(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("[bound]\n", "[bound]\neta = inf\n"))
+        args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", "x.bin"]
+        assert main(args) == cli.EXIT_CONFIG
+        assert "bound.eta = inf is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
+
+    def test_non_finite_flag(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), "--tau", "nan"])
+        assert code == cli.EXIT_CONFIG
+        assert "train.tau = nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), "--seed=-1"])
+        assert code == cli.EXIT_CONFIG
+        assert "run.seed = -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "taus, message",
+        [
+            ("0.01,abc", "'abc' is not a number"),
+            ("-1", "finite and >= 0, got -1"),
+            ("1e-2,inf", "finite and >= 0, got inf"),
+            ("nan", "finite and >= 0, got nan"),
+        ],
+    )
+    def test_ablate_rejects_a_bad_tau(self, taus, message, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        code = main(["ablate", "--config", cfg, "--out", str(tmp_path), f"--taus={taus}"])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "ablation.csv").exists()
 
     def test_bound_requires_generator(self, tmp_path):
         text = "[data]\nsource = file\npath = whatever.bin\n"

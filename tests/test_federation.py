@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvi import federation, nn
-from fedvi.datagen import ClientDataset, GenConfig, generate_hierarchical
+from fedvi.datagen import ClientDataset, FederatedDataset, GenConfig, generate_hierarchical
 from fedvi.datagen import softmax_rows
 from fedvi.federation import (
     TrainConfig,
@@ -18,7 +18,13 @@ from fedvi.federation import (
     sample_cohort,
     server_apply,
 )
-from fedvi.model import ArchConfig, forward_batch, global_branch_logits, init_params
+from fedvi.model import (
+    ArchConfig,
+    forward_batch,
+    global_branch_logits,
+    init_params,
+    split_support_query,
+)
 from fedvi.seeding import DOMAIN_CLIENT, substream
 
 from conftest import replay_rounds, small_arch
@@ -495,6 +501,53 @@ class TestLockstepCohort:
         with pytest.raises(nn.NonFiniteError) as info:
             client_update(params, clients, cfg, rngs)
         assert info.value.context == {"client": clients[1].client_id, "batch": 0}
+
+
+class TestMinBatch:
+    @pytest.mark.parametrize("fraction", [0.5, 0.4, 0.25, 0.1, 1 / 3, 0.9])
+    def test_is_the_smallest_batch_the_split_accepts(self, fraction):
+        size = small_arch(support_fraction=fraction).min_batch
+        split_support_query(size, fraction)
+        for smaller in range(1, size):
+            with pytest.raises(ValueError):
+                split_support_query(smaller, fraction)
+
+    def test_tail_below_it_is_dropped_in_training_and_evaluation(self):
+        # at support fraction 0.4 a batch of 2 has no support row: with
+        # batch size 8, a tail of 2 (18 examples) and a client of 2 go
+        arch = small_arch(support_fraction=0.4)
+        assert arch.min_batch == 3
+        clients = ragged_clients(substream(44, 0), arch, [18, 2, 11], [10, 2, 11])
+        cfg = make_cfg(batch_size=8)
+        params = init_params(arch, substream(44, 1))
+
+        def rngs():
+            return [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in clients]
+
+        sizes = [
+            [xb.shape[0] for xb, _, _ in federation.iter_local_batches(c, cfg, arch, r)]
+            for c, r in zip(clients, rngs())
+        ]
+        assert sizes == [[8, 8], [], [8, 3]]
+        cohort = client_update(params, clients, cfg, rngs())
+        assert cohort.skipped == 1 and [u.steps for u in cohort.updates] == [2, 2]
+
+        res = evaluate(params, clients, cfg)
+        assert res.excluded == 1
+        first = clients[0]
+        n = first.split + 8  # the first test batch, without the tail of 2
+        cut = ClientDataset(first.client_id, first.x[:n], first.y[:n], first.split)
+        assert evaluate(params, [first], cfg).accuracy == evaluate(params, [cut], cfg).accuracy
+
+    def test_degenerate_round_names_it(self, rng):
+        clients = [
+            ClientDataset(k, rng.standard_normal((4, 5)), np.zeros(4, np.int64), 2)
+            for k in range(3)
+        ]
+        ds = FederatedDataset(clients, num_classes=3, holdout_count=0)
+        arch = small_arch(support_fraction=0.4)
+        with pytest.raises(federation.DegenerateRoundError, match="no batch of 3 training"):
+            run_training(make_cfg(rounds=1, cohort_size=2), arch, ds)
 
 
 class TestStackedEvaluate:
