@@ -12,7 +12,6 @@ from .datagen import (
     GenConfig,
     generate_hierarchical,
     load_dataset,
-    partition_dirichlet,
     save_dataset,
 )
 from .distributions import DiagGaussian, glorot_scale, kl_diag, mc_kl_estimate, sample_reparam
@@ -42,7 +41,6 @@ __all__ = [
     "load_dataset",
     "mc_kl_estimate",
     "minibatch_loss",
-    "partition_dirichlet",
     "run_training",
     "sample_cohort",
     "sample_reparam",

@@ -48,12 +48,10 @@ class ElboReport:
 
     ``local_regs`` are per-client sums of KL / batch-size, so that
     ``expected_loss + tau * sum(local_regs)`` matches the accumulated
-    per-minibatch objective exactly. ``global_reg`` is the global KL, 0 for
-    the point-estimate global posterior, and carries no weight.
+    per-minibatch objective exactly.
     """
 
     expected_loss: float
-    global_reg: float
     local_regs: dict[int, float]
     total: float
 
@@ -93,9 +91,7 @@ def elbo_components(
             expected_loss += parts.nll
             reg += parts.kl / xb.shape[0]
         local_regs[client.client_id] = reg
-    return ElboReport(
-        expected_loss=expected_loss, global_reg=0.0, local_regs=local_regs, total=total
-    )
+    return ElboReport(expected_loss=expected_loss, local_regs=local_regs, total=total)
 
 
 @dataclass(frozen=True)
@@ -326,8 +322,10 @@ def client_posterior_audit(
     y: np.ndarray,
     cfg: PacBayesConfig,
     rng: np.random.Generator,
-) -> ClientAudit:
-    """One client's audit batch, its first ``AUDIT_BATCH_SIZE`` rows.
+) -> ClientAudit | None:
+    """One client's audit batch: the first of ``ArchConfig.batch_slices``
+    at ``AUDIT_BATCH_SIZE`` rows. None, with no draw taken, for a client
+    with no batch: training and evaluation skip it too.
 
     Rebuilds the posterior from the unlabeled support half and returns its
     per-class logit bias ``b_beta``, ``cfg.posterior_samples`` local-weight
@@ -335,11 +333,14 @@ def client_posterior_audit(
     and averaged over the draws (Gibbs), and the KL to the architecture's
     prior.
     """
-    batch = min(x.shape[0], AUDIT_BATCH_SIZE)
-    fwd = forward_batch(params, x[:batch])
+    batches = params.arch.batch_slices(x.shape[0], AUDIT_BATCH_SIZE)
+    if not batches:
+        return None
+    x, y = x[batches[0]], y[batches[0]]
+    fwd = forward_batch(params, x)
     q = fwd.stats.q
     beta_draws = q.mean + q.scale * rng.standard_normal((cfg.posterior_samples, q.dim))
-    y_query = y[fwd.support_size : batch]
+    y_query = y[fwd.support_size :]
     logits = _draw_logits(params, beta_draws, fwd.stats.b_beta, fwd.query_global, fwd.query_local)
     nll = _logsumexp(logits.swapaxes(0, 1)) - logits[:, y_query, np.arange(y_query.size)]
     gibbs_nll = float(nll.sum()) / cfg.posterior_samples
@@ -363,8 +364,9 @@ def bound_holds_check(
     Monte-Carlo true risk of the posterior-averaged predictive on fresh
     inputs (exact inner expectation over labels). ``slack`` is the
     delta-scaled log-moment term that ``estimate_slack`` returns, shared
-    across trials. A NaN risk raises ``NonFiniteError`` naming the trial
-    and client.
+    across trials. Clients the audit skips are skipped before their data
+    is drawn. A NaN risk raises ``NonFiniteError`` naming the trial and
+    client.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -377,6 +379,8 @@ def bound_holds_check(
     for trial in range(trials):
         emp = kl_total = true = 0.0
         for k in range(task.cfg.c):
+            if not params.arch.batch_slices(task.n_per_client[k], AUDIT_BATCH_SIZE):
+                continue
             x, probs = draw_client_inputs(task, k, task.n_per_client[k], rng)
             y = _sample_categorical_rows(probs, rng)
             audit = client_posterior_audit(params, x, y, cfg, rng)

@@ -353,14 +353,20 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
     params = _load_params_for(cfg, params_path)
     rng = substream(cfg.seed, DOMAIN_BOUND)
 
-    audits = [
-        bounds_mod.client_posterior_audit(params, c.x, c.y, cfg.pac, rng) for c in ds.clients
-    ]
-    for client, audit in zip(ds.clients, audits):
+    audits = {
+        c.client_id: bounds_mod.client_posterior_audit(params, c.x, c.y, cfg.pac, rng)
+        for c in ds.clients
+    }
+    audits = {cid: audit for cid, audit in audits.items() if audit is not None}
+    if not audits:
+        raise ConfigError(
+            f"no client has a batch of ArchConfig.min_batch = {params.arch.min_batch} rows to audit"
+        )
+    for cid, audit in audits.items():
         if math.isnan(audit.gibbs_nll):
-            raise NonFiniteError("empirical risk is NaN").add_context(client=client.client_id)
-    emp = sum(a.gibbs_nll for a in audits)
-    kl_total = sum(a.kl for a in audits)
+            raise NonFiniteError("empirical risk is NaN").add_context(client=cid)
+    emp = sum(a.gibbs_nll for a in audits.values())
+    kl_total = sum(a.kl for a in audits.values())
 
     slack_scaled = bounds_mod.estimate_slack(
         task,
@@ -401,6 +407,7 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
         f"empirical={emp:.4f} kl={kl_total:.4f} (global contribution 0: point-estimate "
         f"global posterior) slack={slack_scaled:.4f} rhs={rhs:.4f}"
         + (f" holds={report['holds_fraction']:.2f}" if check else "")
+        + f" skipped={len(ds.clients) - len(audits)}"
     )
     return EXIT_OK
 

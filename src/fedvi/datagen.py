@@ -1,9 +1,9 @@
 """Federated dataset construction.
 
-Two sources: a synthetic generator that samples a hierarchical process
+One source: a synthetic generator that samples a hierarchical process
 (shared global predictor, independent per-client additive effects and input
-shifts), and a Dirichlet label-skew partitioner for externally supplied
-arrays. Datasets round-trip bit-exactly through a versioned binary format.
+shifts). Datasets round-trip bit-exactly through a versioned binary format,
+which ``fedvi generate`` writes and ``data.source = file`` reads.
 """
 
 from __future__ import annotations
@@ -211,61 +211,6 @@ def generate_hierarchical(
         truth.shifts.append(shift)
     ds = FederatedDataset(clients, cfg.num_classes, cfg.holdout_count)
     return ds, truth
-
-
-def partition_dirichlet(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: int,
-    alpha: float,
-    rng: np.random.Generator,
-    holdout_count: int = 0,
-) -> FederatedDataset:
-    """Split (x, y) across c clients with Dirichlet(alpha) label skew.
-
-    Each client draws a class-proportion vector from Dirichlet(alpha * 1);
-    each class's samples are then divided among clients proportionally to
-    those draws (largest-remainder rounding), so the union of all client
-    datasets is exactly the input multiset. Clients left empty by extreme
-    draws take one sample from the largest client.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    n = x.shape[0]
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if n < c:
-        raise ValueError(f"cannot give {c} clients at least one of {n} samples")
-    num_classes = int(y.max()) + 1
-    proportions = rng.dirichlet(np.full(num_classes, alpha), size=c)
-
-    assigned: list[list[int]] = [[] for _ in range(c)]
-    for cls in range(num_classes):
-        idx = np.flatnonzero(y == cls)
-        if idx.size == 0:
-            continue
-        idx = idx[rng.permutation(idx.size)]
-        weights = proportions[:, cls]
-        quota = idx.size * weights / weights.sum()
-        counts = np.floor(quota).astype(np.int64)
-        leftovers = np.argsort(-(quota - counts), kind="stable")
-        counts[leftovers[: idx.size - counts.sum()]] += 1
-        pos = 0
-        for k in range(c):
-            assigned[k].extend(int(i) for i in idx[pos : pos + counts[k]])
-            pos += counts[k]
-
-    for k in range(c):
-        if not assigned[k]:
-            donor = max(range(c), key=lambda j: len(assigned[j]))
-            assigned[k].append(assigned[donor].pop())
-
-    clients = []
-    for k in range(c):
-        idx = np.array(assigned[k], dtype=np.intp)
-        split = int(TRAIN_FRACTION * idx.size)
-        clients.append(ClientDataset(k, x[idx], y[idx], split))
-    return FederatedDataset(clients, num_classes, holdout_count)
 
 
 def save_dataset(ds: FederatedDataset, path, gen_config: GenConfig | None = None) -> None:

@@ -47,7 +47,7 @@ class TrainConfig:
     seed: int
     rounds: int = 200
     cohort_size: int = 8
-    client_lr: float = 0.05
+    client_lr: float = 0.001
     server_lr: float = 1.0
     server_momentum: float = 0.9
     local_epochs: int = 1
@@ -154,9 +154,8 @@ def iter_local_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """Yield (x, y, noise) minibatches for one local pass.
 
-    Reshuffles every epoch; a trailing batch smaller than ``arch.min_batch``
-    is dropped because the support/query split needs both halves nonempty.
-    Both algorithms drop it, so they train on the same batches.
+    Reshuffles every epoch and cuts the permutation with
+    ``ArchConfig.batch_slices``, so both algorithms train on the same batches.
     The noise vector for the local-weight sample is drawn here (fresh per
     batch) so that replaying with the same generator replays training
     exactly.
@@ -165,10 +164,8 @@ def iter_local_batches(
     n = x_tr.shape[0]
     for _ in range(cfg.local_epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            if idx.size < arch.min_batch:
-                continue
+        for rows in arch.batch_slices(n, cfg.batch_size):
+            idx = perm[rows]
             noise = rng.standard_normal(arch.beta_dim) if cfg.algorithm == "fedvi" else None
             yield x_tr[idx], y_tr[idx], noise
 
@@ -190,7 +187,7 @@ def client_update(
 
     Each ClientUpdate holds the pseudo-gradient delta = initial - final,
     the client's training example count as aggregation weight, and loss
-    statistics. Clients with no batch of ``arch.min_batch`` are skipped.
+    statistics. Clients with no batch (``ArchConfig.batch_slices``) are skipped.
     The copies are discarded: clients are stateless. A NonFiniteError
     names the client and batch index of the first failing client in
     cohort order, at the earliest failing step.
@@ -333,28 +330,23 @@ def evaluate(
     The personalized path batches each client's test set, rebuilds the
     posterior from the batch's own unlabeled support half, sets the local
     weights to the posterior mean, and counts accuracy on query halves
-    only; a tail batch smaller than ``arch.min_batch`` is skipped. The
-    non-personalized path scores the global branch on all test examples.
-    Clients with no test batch of ``arch.min_batch`` are excluded.
+    only. The non-personalized path scores the global branch on the whole
+    test set as one batch. Batches come from ``ArchConfig.batch_slices``;
+    clients with no test batch are excluded.
 
     Test batches of equal size, across all clients, go through one stacked
     forward pass with the shared weights (whole test sets of equal size on
     the non-personalized path). Forward passes only: no graph node is built.
     """
-    min_batch = params.arch.min_batch
     by_size: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
     n_tests = []
     for k, client in enumerate(clients):
         x_te, y_te = client.test_arrays()
         n = x_te.shape[0]
         n_tests.append(n)
-        if n < min_batch:
-            continue
-        step = n if cfg.algorithm == "fedavg" else cfg.batch_size
-        for start in range(0, n, step):
-            xb = x_te[start : start + step]
-            if xb.shape[0] >= min_batch:
-                by_size.setdefault(xb.shape[0], []).append((k, xb, y_te[start : start + step]))
+        size = n if cfg.algorithm == "fedavg" else cfg.batch_size
+        for rows in params.arch.batch_slices(n, size):
+            by_size.setdefault(rows.stop - rows.start, []).append((k, x_te[rows], y_te[rows]))
     correct = [0] * len(clients)
     seen = [0] * len(clients)
     for size, units in by_size.items():

@@ -104,6 +104,15 @@ class ArchConfig:
             size += 1
         return size
 
+    def batch_slices(self, n: int, size: int) -> list[slice]:
+        """A client's ``n`` rows cut in order into batches of ``size``, each
+        batch smaller than ``min_batch`` dropped: a tail, a client of fewer
+        rows, or every batch if ``size`` is smaller. Training, evaluation
+        and the bound audit cut rows only here."""
+        if size < self.min_batch:
+            return []
+        return [slice(lo, min(lo + size, n)) for lo in range(0, n - self.min_batch + 1, size)]
+
     @functools.cached_property
     def prior(self) -> DiagGaussian:
         """N(0, prior_scale^2 I) over the local weights, built once per config."""

@@ -8,8 +8,9 @@ arrays and its reverse pass is hand-derived, so the graph is the loss plus
 the parameter leaves. :func:`softmax_nll` works on arrays, one batch or a
 stack of them, and returns its gradient alongside.
 
-The one-node-per-op graph ops (``add`` ... ``dropout``) remain for code
-that still names them; the model does not use them.
+The one-node-per-op graph ops (``add`` ... ``dropout``) remain because
+``benchmarks/tracing.py`` names them: it counts their calls in traced
+runs. The model does not use them.
 
 ``finite_diff_grad`` is the independent test oracle for every gradient and
 must never share code with the reverse-mode path.

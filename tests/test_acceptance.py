@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from fedvi import nn
 from fedvi.bounds import (
@@ -470,6 +471,7 @@ def nearest_type_accuracy(ds, shifts: np.ndarray) -> tuple[float, float]:
     return float(np.mean(single)), float(np.mean(halves))
 
 
+@pytest.mark.slow
 def test_criterion_07_personalization_benefit_nonparticipating():
     # Premise: one support half identifies an unseen client's type (so its
     # effect); one input does not, so fedavg, which sees one input at a
@@ -516,6 +518,7 @@ def test_criterion_07_personalization_benefit_nonparticipating():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_supplement_participating_ordering():
     # The ordering the personalization machinery can honestly deliver here:
     # seen clients benefit from support-based reconstruction.
@@ -537,6 +540,7 @@ def test_criterion_07_supplement_participating_ordering():
 # -- criterion 8: KL-weight ablation shrinks the participation gap -----------
 
 
+@pytest.mark.slow
 def test_criterion_08_tau_ablation_gap():
     taus = [0.0, 1e-6, 1e-4, 1e-2, 1.0]
     verdicts = []

@@ -90,7 +90,6 @@ class TestElboComponents:
         cfg = toy_train_cfg(tau=0.0)
         report = elbo_components(params, ds.clients[:2], cfg, round_index=1)
         assert report.total == report.expected_loss
-        assert report.global_reg == 0.0
 
     def test_decomposition_identity_multi_client(self, rng):
         ds, _ = toy_task()

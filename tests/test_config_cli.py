@@ -391,6 +391,15 @@ def write_cfg(tmp_path, text=SMALL_RUN):
     return str(path)
 
 
+def shipped_cfg(name: str, *replacements: tuple[str, str]) -> str:
+    """The text of ``configs/<name>``, each (old, new) line replaced."""
+    text = (CONFIGS / name).read_text(encoding="utf-8")
+    for old, new in replacements:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
+
+
 class TestCliCommands:
     def test_generate_then_train_then_eval(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -633,6 +642,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.fullmatch(r"config error: round 1: every cohort client was degenerate .*\n", err)
 
+    def test_default_client_lr_trains_heterogeneous_cfg(self, tmp_path):
+        # at the old default of 0.05, round 1 failed on a non-finite posterior scale
+        text = shipped_cfg(
+            "heterogeneous.cfg", ("client_lr = 0.001\n", ""), ("rounds = 200", "rounds = 2")
+        )
+        code = main(["train", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+
     def test_failing_ablation_keeps_the_finished_rows(self, tmp_path, monkeypatch):
         original = cli.run_training
         runs = []
@@ -749,3 +766,58 @@ class TestExitCodes:
             ["bound", "--config", str(cfg), "--out", str(tmp_path), "--params", "x.bin"]
         )
         assert code == cli.EXIT_CONFIG
+
+
+class TestClientsTooSmallToSplit:
+    """bound.cfg's data cut to clients of 1 to 3 rows, audited with bound.cfg's
+    own parameters: a client of 1 row has no batch of ``min_batch = 2``."""
+
+    @pytest.fixture(scope="class")
+    def params_path(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bound")
+        text = shipped_cfg("bound.cfg", ("rounds = 30", "rounds = 2"))
+        assert main(["train", "--config", write_cfg(out, text), "--out", str(out)]) == 0
+        return str(out / "params.bin")
+
+    def bound(self, tmp_path, params_path, check, n_max):
+        text = shipped_cfg(
+            "bound.cfg", ("n_min = 200", "n_min = 1"), ("n_max = 200", f"n_max = {n_max}"),
+            ("trials = 100", "trials = 3"),
+        )
+        cfg = write_cfg(tmp_path, text)
+        args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", params_path]
+        return cfg, main(args + check)
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_only_clients_large_enough_are_audited(
+        self, check, params_path, tmp_path, capsys, monkeypatch
+    ):
+        from fedvi.datagen import generate_hierarchical
+
+        audited = []
+        original = bounds.client_posterior_audit
+
+        def audit(params, x, *rest):
+            audited.append(x.shape[0])
+            return original(params, x, *rest)
+
+        monkeypatch.setattr(bounds, "client_posterior_audit", audit)
+        cfg, code = self.bound(tmp_path, params_path, check, n_max=3)
+        assert code == cli.EXIT_OK
+        sizes = [c.n for c in generate_hierarchical(parse_config(cfg).gen)[0].clients]
+        large = [n for n in sizes if n >= 2]
+        assert 0 < len(large) < len(sizes)
+        assert capsys.readouterr().out.endswith(f" skipped={len(sizes) - len(large)}\n")
+        # the audit of `fedvi bound` sees every client; the check's trials
+        # draw data only for the clients it audits
+        assert audited == sizes + (3 * large if check else [])
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_no_client_large_enough_is_a_config_error(self, check, params_path, tmp_path, capsys):
+        _, code = self.bound(tmp_path, params_path, check, n_max=1)
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: no client has a batch of ArchConfig.min_batch = 2 rows to audit\n"
+        )
+        assert not (tmp_path / "bound.csv").exists()

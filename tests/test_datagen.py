@@ -10,7 +10,6 @@ from fedvi.datagen import (
     MalformedDatasetError,
     generate_hierarchical,
     load_dataset,
-    partition_dirichlet,
     save_dataset,
     softmax_rows,
 )
@@ -90,57 +89,6 @@ class TestGenerateHierarchical:
         ds3, _ = generate_hierarchical(cfg, substream(99, 2))
         assert ds1 == ds2
         assert ds1 != ds3
-
-
-def balanced_arrays(n_per_class: int, num_classes: int, d: int, rng):
-    n = n_per_class * num_classes
-    x = rng.standard_normal((n, d))
-    y = np.repeat(np.arange(num_classes), n_per_class)
-    perm = rng.permutation(n)
-    return x[perm], y[perm]
-
-
-class TestPartitionDirichlet:
-    def test_high_alpha_matches_global_histogram(self, rng):
-        x, y = balanced_arrays(200, 5, 3, rng)
-        ds = partition_dirichlet(x, y, c=8, alpha=1e6, rng=rng)
-        global_hist = np.bincount(y, minlength=5) / y.size
-        for cl in ds.clients:
-            hist = np.bincount(cl.y, minlength=5) / cl.n
-            tv = 0.5 * np.abs(hist - global_hist).sum()
-            assert tv < 0.05
-
-    def test_low_alpha_concentrates_labels(self, rng):
-        x, y = balanced_arrays(200, 10, 2, rng)
-        shares = []
-        for trial in range(100):
-            ds = partition_dirichlet(x, y, c=10, alpha=0.01, rng=substream(5, trial))
-            shares += [
-                np.bincount(cl.y, minlength=10).max() / cl.n for cl in ds.clients
-            ]
-        assert np.median(shares) > 0.8
-
-    def test_union_is_exact_multiset(self, rng):
-        x, y = balanced_arrays(37, 4, 3, rng)
-        ds = partition_dirichlet(x, y, c=7, alpha=0.5, rng=rng)
-        rows = np.vstack([cl.x for cl in ds.clients])
-        labels = np.concatenate([cl.y for cl in ds.clients])
-        got = np.lexsort(np.column_stack([rows, labels]).T)
-        want = np.lexsort(np.column_stack([x, y]).T)
-        assert np.array_equal(
-            np.column_stack([rows, labels])[got], np.column_stack([x, y])[want]
-        )
-        assert all(cl.n >= 1 for cl in ds.clients)
-
-    def test_too_few_samples_rejected(self, rng):
-        x, y = balanced_arrays(1, 2, 2, rng)
-        with pytest.raises(ValueError, match="at least one"):
-            partition_dirichlet(x, y, c=5, alpha=1.0, rng=rng)
-
-    def test_alpha_must_be_positive(self, rng):
-        x, y = balanced_arrays(10, 2, 2, rng)
-        with pytest.raises(ValueError):
-            partition_dirichlet(x, y, c=2, alpha=0.0, rng=rng)
 
 
 class TestSaveLoad:

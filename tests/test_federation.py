@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvi import federation, nn
+from fedvi import bounds, federation, nn
 from fedvi.datagen import ClientDataset, FederatedDataset, GenConfig, generate_hierarchical
 from fedvi.datagen import softmax_rows
 from fedvi.federation import (
@@ -538,6 +538,15 @@ class TestMinBatch:
         n = first.split + 8  # the first test batch, without the tail of 2
         cut = ClientDataset(first.client_id, first.x[:n], first.y[:n], first.split)
         assert evaluate(params, [first], cfg).accuracy == evaluate(params, [cut], cfg).accuracy
+
+        # the bound audit skips the client of 2 training (or test) examples
+        pb = bounds.PacBayesConfig(posterior_samples=2)
+        for rows in (ClientDataset.train_arrays, ClientDataset.test_arrays):
+            audits = [
+                bounds.client_posterior_audit(params, *rows(c), pb, substream(44, 2))
+                for c in clients
+            ]
+            assert [audit is None for audit in audits] == [False, True, False]
 
     def test_degenerate_round_names_it(self, rng):
         clients = [
