@@ -32,7 +32,15 @@ from .datagen import (
     load_dataset,
     save_dataset,
 )
-from .federation import ALGORITHMS, DegenerateRoundError, RunResult, evaluate, run_training
+from .federation import (
+    ALGORITHMS,
+    DegenerateRoundError,
+    RunResult,
+    TrainConfig,
+    eval_batches,
+    evaluate,
+    run_training,
+)
 from .model import ArchConfig, FedVIParams, ParamBlock, block_shapes, params_from_blocks
 from .nn import NonFiniteError
 from .seeding import DOMAIN_ABLATION, DOMAIN_BOUND, substream
@@ -219,6 +227,31 @@ def _dataset_for(cfg: ExperimentConfig) -> tuple[FederatedDataset, SyntheticTask
     return ds, None
 
 
+def _check_evaluable(
+    ds: FederatedDataset, cfg: TrainConfig, arch: ArchConfig, training: bool = False
+) -> None:
+    """ConfigError unless the participating clients, and the holdout if it
+    is nonempty, each have a client with a test batch (``eval_batches``):
+    an evaluation with nothing to score has no accuracy to report.
+
+    With ``training``, a population in which no client has a training batch
+    passes: round 1 fails on it first, with an error naming those batches.
+    """
+    if training and not any(
+        arch.batch_slices(c.n_train, cfg.batch_size) for c in ds.participating_clients()
+    ):
+        return
+    for group, clients in (
+        ("participating", ds.participating_clients()),
+        ("holdout", ds.holdout_clients()),
+    ):
+        if clients and not any(eval_batches(c, cfg, arch) for c in clients):
+            raise ConfigError(
+                f"no {group} client has a test batch of ArchConfig.min_batch = "
+                f"{arch.min_batch} rows to evaluate"
+            )
+
+
 def _out_dir(cfg: ExperimentConfig, out_arg: str | None) -> Path:
     out = Path(out_arg) if out_arg else Path("runs") / cfg.label
     out.mkdir(parents=True, exist_ok=True)
@@ -243,6 +276,7 @@ def cmd_generate(cfg: ExperimentConfig, out_arg: str | None) -> int:
 def cmd_train(cfg: ExperimentConfig, out_arg: str | None) -> int:
     out = _out_dir(cfg, out_arg)
     ds, _ = _dataset_for(cfg)
+    _check_evaluable(ds, cfg.train, cfg.arch, training=True)
     result = run_training(cfg.train, cfg.arch, ds)
     write_metrics(result, cfg, out / "metrics.csv")
     save_params(result.state.params, out / "params.bin")
@@ -307,6 +341,7 @@ def cmd_ablate(cfg: ExperimentConfig, taus: str, out_arg: str | None) -> int:
     every run, so a sweep that fails or is killed keeps the rows it finished."""
     grid = ablation_grid(cfg, taus)
     ds, _ = _dataset_for(cfg)
+    _check_evaluable(ds, cfg.train, cfg.arch, training=True)
     path = _out_dir(cfg, out_arg) / "ablation.csv"
     lines = _provenance("ablation", cfg) + ["tau,part_acc,nonpart_acc,gap"]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -325,6 +360,7 @@ def cmd_eval(cfg: ExperimentConfig, params_path: str, out_arg: str | None) -> in
     out = _out_dir(cfg, out_arg)
     ds, _ = _dataset_for(cfg)
     params = _load_params_for(cfg, params_path)
+    _check_evaluable(ds, cfg.train, params.arch)
     part = evaluate(params, ds.participating_clients(), cfg.train)
     report = {
         "params": str(params_path),

@@ -31,11 +31,14 @@ from .model import (
     ArchConfig,
     FedVIParams,
     LossParts,
-    forward_batch,
+    construct_posterior,
+    embed,
     global_branch_logits,
     global_branch_loss,
     init_params,
     minibatch_loss,
+    predict_logits,
+    split_features,
 )
 from .seeding import DOMAIN_CLIENT, DOMAIN_COHORT, DOMAIN_INIT, substream
 
@@ -317,7 +320,16 @@ def _accuracy_weighted(per_client: list[tuple[float, int]]) -> float:
     return sum(a * w for a, w in per_client) / wsum
 
 
-EVAL_STACK_ROWS = 8192  # test rows per stacked forward pass; bounds evaluate's memory
+# Test rows per forward pass of evaluate, in chunks of whole clients (a
+# client with more rows is a chunk of its own); bounds evaluate's memory.
+EVAL_STACK_ROWS = 8192
+
+
+def eval_batches(client: ClientDataset, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
+    """The test batches ``evaluate`` scores for ``client``: its test set cut
+    by ``ArchConfig.batch_slices``, as one batch on the non-personalized path."""
+    n = client.n_test
+    return arch.batch_slices(n, n if cfg.algorithm == "fedavg" else cfg.batch_size)
 
 
 def evaluate(
@@ -331,45 +343,87 @@ def evaluate(
     posterior from the batch's own unlabeled support half, sets the local
     weights to the posterior mean, and counts accuracy on query halves
     only. The non-personalized path scores the global branch on the whole
-    test set as one batch. Batches come from ``ArchConfig.batch_slices``;
-    clients with no test batch are excluded.
+    test set as one batch. Batches come from ``eval_batches``; clients with
+    no test batch are excluded.
 
-    Test batches of equal size, across all clients, go through one stacked
-    forward pass with the shared weights (whole test sets of equal size on
-    the non-personalized path). Forward passes only: no graph node is built.
+    Clients are scored in chunks of whole clients of at most
+    ``EVAL_STACK_ROWS`` test rows, one flat forward pass per chunk with the
+    shared weights: one embedding of all the chunk's rows, one constructor
+    pass over all support rows with one segment per batch
+    (``construct_posterior``'s segment form), and one classifier pass over
+    all query rows, each row scored with its own batch's posterior mean.
+    A batch's logits are thus those of its own forward pass up to rounding
+    in the last bit: the kernel a GEMM uses may depend on its row count, and
+    the row form's local term is not a GEMM. Forward passes only: no graph
+    node is built.
     """
-    by_size: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
-    n_tests = []
-    for k, client in enumerate(clients):
-        x_te, y_te = client.test_arrays()
-        n = x_te.shape[0]
-        n_tests.append(n)
-        size = n if cfg.algorithm == "fedavg" else cfg.batch_size
-        for rows in params.arch.batch_slices(n, size):
-            by_size.setdefault(rows.stop - rows.start, []).append((k, x_te[rows], y_te[rows]))
-    correct = [0] * len(clients)
-    seen = [0] * len(clients)
-    for size, units in by_size.items():
-        per_pass = max(1, EVAL_STACK_ROWS // size)
-        for lo in range(0, len(units), per_pass):
-            chunk = units[lo : lo + per_pass]
-            x = np.stack([xb for _, xb, _ in chunk])
-            y = np.stack([yb for _, _, yb in chunk])
-            if cfg.algorithm == "fedavg":
-                logits = global_branch_logits(params, x)
-            else:
-                fwd = forward_batch(params, x)
-                logits = fwd.logits_for(fwd.stats.q.mean)
-                y = y[:, fwd.support_size :]
-            hits = (logits.argmax(axis=-1) == y).sum(axis=-1)
-            for (k, _, _), h in zip(chunk, hits.tolist()):
-                correct[k] += h
-                seen[k] += y.shape[1]
-    per_client = [(c / s, n) for c, s, n in zip(correct, seen, n_tests) if s]
+    batch_sizes = [
+        (k, [b.stop - b.start for b in eval_batches(client, cfg, params.arch)])
+        for k, client in enumerate(clients)
+    ]
+    correct = np.zeros(len(clients), dtype=np.int64)
+    seen = np.zeros(len(clients), dtype=np.int64)
+    for chunk in _client_chunks([unit for unit in batch_sizes if unit[1]]):
+        owner, hit = _score_chunk(params, clients, chunk, cfg)
+        correct += np.bincount(owner[hit], minlength=len(clients))
+        seen += np.bincount(owner, minlength=len(clients))
+    per_client = [
+        (c / s, client.n_test)
+        for c, s, client in zip(correct.tolist(), seen.tolist(), clients)
+        if s
+    ]
     excluded = len(clients) - len(per_client)
     if not per_client:
         return EvalResult(accuracy=float("nan"), excluded=excluded)
     return EvalResult(accuracy=_accuracy_weighted(per_client), excluded=excluded)
+
+
+def _client_chunks(
+    batch_sizes: list[tuple[int, list[int]]],
+) -> Iterator[list[tuple[int, list[int]]]]:
+    """Consecutive runs of whole clients, given as (index, batch sizes), of
+    at most ``EVAL_STACK_ROWS`` rows; a client with more rows is a run alone."""
+    chunk: list[tuple[int, list[int]]] = []
+    rows = 0
+    for k, sizes in batch_sizes:
+        if chunk and rows + sum(sizes) > EVAL_STACK_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+        chunk.append((k, sizes))
+        rows += sum(sizes)
+    if chunk:
+        yield chunk
+
+
+def _score_chunk(
+    params: FedVIParams,
+    clients: list[ClientDataset],
+    chunk: list[tuple[int, list[int]]],
+    cfg: TrainConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One flat forward pass over the test batches of the chunk's clients,
+    given as (index into ``clients``, batch sizes). A client's batches are
+    the first rows of its test set, back to back. Returns, per scored row,
+    the index of its client and whether its prediction hit."""
+    tests = [(clients[k].test_arrays(), sum(sizes)) for k, sizes in chunk]
+    x = np.concatenate([x_te[:n] for (x_te, _), n in tests])
+    y = np.concatenate([y_te[:n] for (_, y_te), n in tests])
+    sizes = np.array([size for _, client_sizes in chunk for size in client_sizes])
+    owner = np.repeat([k for k, client_sizes in chunk for _ in client_sizes], sizes)
+    if cfg.algorithm == "fedavg":
+        return owner, global_branch_logits(params, x).argmax(axis=-1) == y
+    arch = params.arch
+    # split_support_query's rule, int(support_fraction * size), per batch
+    support = (arch.support_fraction * sizes).astype(np.int64)
+    position = np.arange(x.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    query = position >= np.repeat(support, sizes)
+    feats_global, feats_local = split_features(arch, embed(params, x))
+    stats = construct_posterior(params, feats_global[~query], counts=support)
+    batch = np.repeat(np.arange(sizes.size), sizes - support)
+    logits = predict_logits(
+        params, stats.q.mean[batch], stats.b_beta[batch], feats_global[query], feats_local[query]
+    )
+    return owner[query], logits.argmax(axis=-1) == y[query]
 
 
 def summarize(reports: list[RoundReport], rounds: int, window: int | None = None) -> dict:

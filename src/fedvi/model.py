@@ -19,11 +19,14 @@ kept, so ``nn.backward(loss)`` yields every parameter's gradient.
 
 Every stage also takes a stack of batches, one per client, on a leading
 axis: a 2-D [B x d] input is one client's batch, a 3-D [C x B x d] input C
-batches of equal size. Stacked batches run with shared parameters (as
-``evaluate`` does) or with stacked ones from ``FedVIParams.stacked`` (as
-the cohort's local training does). Each client's slice goes through the
-same BLAS calls and reductions as its batch alone, so its results are
-bit-identical to the 2-D case.
+batches of equal size. Stacked batches run with shared parameters or with
+stacked ones from ``FedVIParams.stacked`` (as the cohort's local training
+does). Each client's slice goes through the same BLAS calls and reductions
+as its batch alone, so its results are bit-identical to the 2-D case.
+Batches of any sizes can also run flat, back to back in one 2-D matrix (as
+``evaluate`` does): ``construct_posterior``'s segment form gives one
+posterior per batch and ``predict_logits``'s row form scores each query
+row with its own batch's weights.
 """
 
 from __future__ import annotations
@@ -303,6 +306,7 @@ def construct_posterior(
     params: FedVIParams,
     support_global: np.ndarray,
     acts: list[np.ndarray] | None = None,
+    counts: np.ndarray | None = None,
 ) -> PosteriorStats:
     """Aggregate support rows into a diagonal Gaussian over local weights.
 
@@ -311,6 +315,14 @@ def construct_posterior(
     perturbation around the prior scale, the last K the logit bias. The
     scale never drops below scale_floor. ``acts`` collects the constructor
     MLP's layer inputs, as in ``_mlp_forward``.
+
+    Segment form: with ``counts``, ``support_global`` is [S x G] holding
+    consecutive segments of counts[i] rows, one per batch, and the posterior
+    has one row per segment. The MLP output rows go on a [segments x
+    longest x width] grid padded with -0.0 (x + -0.0 is x for every x),
+    which is summed over its rows and divided by the counts: each segment's
+    rows are added in order, as the row mean adds them. (``np.add.reduceat``
+    would add the first row to a pairwise sum of the rest.)
 
     The posterior starts at the prior because init_params shrinks the
     constructor's output layer by POSTERIOR_HEAD_INIT_SHRINK, not because of
@@ -324,7 +336,20 @@ def construct_posterior(
             f"support features must be [S x {arch.global_dim}] or [C x S x "
             f"{arch.global_dim}] with S >= 1, got {support_global.shape}"
         )
-    g = _mlp_forward(params.theta_post, support_global, acts).mean(axis=-2)
+    out = _mlp_forward(params.theta_post, support_global, acts)
+    if counts is None:
+        g = out.mean(axis=-2)
+    else:
+        if support_global.ndim != 2 or counts.min() < 1 or counts.sum() != out.shape[0]:
+            raise nn.ShapeMismatchError(
+                f"{counts.size} segments of {counts.sum()} rows in all (each >= 1) "
+                f"do not tile support features {support_global.shape}"
+            )
+        segment = np.repeat(np.arange(counts.size), counts)
+        position = np.arange(out.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+        grid = np.full((counts.size, counts.max(), out.shape[-1]), -0.0)
+        grid[segment, position] = out
+        g = grid.sum(axis=-2) / counts[:, None]
     m = arch.beta_dim
     mu = arch.mean_damp * g[..., :m]
     scale_exp = np.exp(arch.logscale_damp * g[..., m : 2 * m])
@@ -368,19 +393,26 @@ def predict_logits(
     [C x K], one per client. ``query_global`` may omit the leading axes of
     ``query_local``: the global classifier then runs once on its [Q x G]
     rows and its logits broadcast against the [C x Q x K] local ones.
+
+    Row form: ``beta`` [Q x m] and ``b_beta`` [Q x K] give each of the
+    [Q x L] query rows its own local weights, as a flat pass over the query
+    halves of many batches needs; the global classifier still runs once.
     """
     arch = params.arch
-    if beta.shape != query_local.shape[:-2] + (arch.beta_dim,):
+    per_batch = beta.shape == query_local.shape[:-2] + (arch.beta_dim,)
+    per_row = query_local.ndim == 2 and beta.shape == query_local.shape[:-1] + (arch.beta_dim,)
+    if not (per_batch or per_row):
         raise nn.ShapeMismatchError(
-            f"beta must be [{arch.beta_dim}] per query batch of {query_local.shape}, "
-            f"got {beta.shape}"
+            f"beta must be [{arch.beta_dim}] per query batch or per query row of "
+            f"{query_local.shape}, got {beta.shape}"
         )
     weights = beta.reshape(beta.shape[:-1] + (arch.num_classes, arch.local_dim))
-    return (
-        query_local @ weights.swapaxes(-1, -2)
-        + _mlp_forward(params.theta_cls, query_global)
-        + b_beta[..., None, :]
-    )
+    if per_batch:
+        local = query_local @ weights.swapaxes(-1, -2)
+        b_beta = b_beta[..., None, :]
+    else:
+        local = np.einsum("ql,qkl->qk", query_local, weights)
+    return local + _mlp_forward(params.theta_cls, query_global) + b_beta
 
 
 def global_branch_logits(

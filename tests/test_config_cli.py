@@ -821,3 +821,67 @@ class TestClientsTooSmallToSplit:
             "config error: no client has a batch of ArchConfig.min_batch = 2 rows to audit\n"
         )
         assert not (tmp_path / "bound.csv").exists()
+
+
+class TestNothingToEvaluate:
+    """Test sets of one row hold no batch of ``min_batch = 2``. A run whose
+    participating clients, or whose nonempty holdout, have no test batch
+    exits 2 before round 1, instead of writing NaN accuracies."""
+
+    MESSAGE = (
+        "config error: no {} client has a test batch of ArchConfig.min_batch = 2 rows "
+        "to evaluate\n"
+    )
+
+    def small_clients_cfg(self, tmp_path, n):
+        text = shipped_cfg(
+            "heterogeneous.cfg", ("n_min = 200", f"n_min = {n}"), ("n_max = 400", f"n_max = {n}"),
+            ("rounds = 200", "rounds = 10"),
+        )
+        return write_cfg(tmp_path, text)
+
+    def holdout_of_one_test_row_cfg(self, tmp_path):
+        # two held-out clients with one test row each, six that evaluate
+        from fedvi.datagen import ClientDataset, FederatedDataset, save_dataset
+
+        rng = np.random.default_rng(5)
+        clients = [
+            ClientDataset(k, rng.standard_normal((n, 5)), rng.integers(0, 3, n), split)
+            for k, (n, split) in enumerate([(5, 4)] * 2 + [(50, 40)] * 6)
+        ]
+        save_dataset(FederatedDataset(clients, 3, holdout_count=2), tmp_path / "ds.bin")
+        text = SMALL_RUN.replace("[data]\n", f"[data]\nsource = file\npath = {tmp_path / 'ds.bin'}\n")
+        return write_cfg(tmp_path, text)
+
+    def eval_args(self, cfg, tmp_path, algorithm):
+        params = tmp_path / "params.bin"
+        save_params(init_params(parse_config(cfg).arch, np.random.default_rng(0)), params)
+        return ["eval", "--config", cfg, "--out", str(tmp_path), "--params", str(params),
+                "--algorithm", algorithm]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--taus=0.01"]])
+    def test_training_on_clients_of_one_test_row(self, command, n, tmp_path, capsys):
+        cfg = self.small_clients_cfg(tmp_path, n)
+        assert main([*command, "--config", cfg, "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == self.MESSAGE.format("participating")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    def test_eval_on_clients_of_one_test_row(self, algorithm, tmp_path, capsys):
+        cfg = self.small_clients_cfg(tmp_path, 4)
+        assert main(self.eval_args(cfg, tmp_path, algorithm)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == self.MESSAGE.format("participating")
+        assert not (tmp_path / "eval.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_holdout_of_one_test_row(self, command, tmp_path, capsys):
+        cfg = self.holdout_of_one_test_row_cfg(tmp_path)
+        if command == "train":
+            args = ["train", "--config", cfg, "--out", str(tmp_path)]
+        else:
+            args = self.eval_args(cfg, tmp_path, "fedvi")
+        assert main(args) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == self.MESSAGE.format("holdout")
+        assert not (tmp_path / "metrics.csv").exists()
+        assert not (tmp_path / "eval.json").exists()

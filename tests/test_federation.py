@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedvi import bounds, federation, nn
+from fedvi import bounds, federation, model, nn
 from fedvi.datagen import ClientDataset, FederatedDataset, GenConfig, generate_hierarchical
 from fedvi.datagen import softmax_rows
 from fedvi.federation import (
@@ -561,10 +561,12 @@ class TestMinBatch:
 
 class TestStackedEvaluate:
     @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
-    @pytest.mark.parametrize("stack_rows", [federation.EVAL_STACK_ROWS, 16])
+    @pytest.mark.parametrize("stack_rows", [federation.EVAL_STACK_ROWS, 40, 16, 4])
     def test_equals_per_batch_scoring(self, algorithm, stack_rows, monkeypatch):
         # batch size 8: a size-1 tail (17 test examples, skipped), a client
-        # with one test example (excluded), tails of 5, equal test set sizes
+        # with one test example (excluded), tails of 5, equal test set sizes.
+        # Chunks of at most 40 rows split the call between clients; 16 and
+        # 4 rows are fewer than some clients' test sets, which go alone.
         monkeypatch.setattr(federation, "EVAL_STACK_ROWS", stack_rows)
         arch = small_arch()
         clients = ragged_clients(substream(43, 0), arch, [3] * 6, [17, 1, 13, 21, 6, 13])
@@ -590,6 +592,31 @@ class TestStackedEvaluate:
         res = evaluate(params, clients, cfg)
         assert res.excluded == 1 == len(clients) - len(per_client)
         assert res.accuracy == _accuracy_weighted(per_client)
+
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    @pytest.mark.parametrize("stack_rows, passes", [(federation.EVAL_STACK_ROWS, 1), (20, 3)])
+    def test_one_forward_pass_per_chunk(self, algorithm, stack_rows, passes, monkeypatch):
+        # batch size 8: tails of 3, 5, 6 and 2, and a client with one test
+        # example (excluded). Every scored row is embedded once, in one 2-D
+        # pass per chunk of whole clients (at 20 rows: 19, 13 + 6, 10), not
+        # one pass per batch size.
+        monkeypatch.setattr(federation, "EVAL_STACK_ROWS", stack_rows)
+        arch = small_arch()
+        clients = ragged_clients(substream(44, 0), arch, [3] * 5, [19, 13, 6, 10, 1])
+        params = init_params(arch, substream(44, 1))
+        shapes = []
+        original = model.embed
+
+        def embed(params, x, acts=None):
+            shapes.append(np.shape(x))
+            return original(params, x, acts)
+
+        monkeypatch.setattr(model, "embed", embed)  # global_branch_logits's
+        monkeypatch.setattr(federation, "embed", embed)
+        evaluate(params, clients, make_cfg(batch_size=8, algorithm=algorithm))
+        assert len(shapes) == passes
+        assert all(len(shape) == 2 for shape in shapes)
+        assert sum(rows for rows, _ in shapes) == 19 + 13 + 6 + 10
 
 
 class TestTrainConfigValidation:

@@ -176,6 +176,29 @@ class TestConstructPosterior:
             assert err < 1e-6, f"{block.name}: rel err {err}"
         assert max_rel_err(fd["support"], d_support) < 1e-6
 
+    def test_segments_equal_their_rows_alone(self):
+        # the segment mean adds each segment's rows in order and divides by
+        # the count, as the row mean does: every segment's posterior is its
+        # rows' own, bit for bit
+        rng = substream(2026, 7)
+        params = randomized_params(small_arch(), rng)
+        counts = np.array([3, 2, 8, 2, 5])
+        support = rng.standard_normal((counts.sum(), params.arch.global_dim))
+        stats = construct_posterior(params, support, counts=counts)
+        assert stats.q.mean.shape == (counts.size, params.arch.beta_dim)
+        starts = np.cumsum(counts) - counts
+        for i, (lo, n) in enumerate(zip(starts, counts)):
+            alone = construct_posterior(params, support[lo : lo + n])
+            assert np.array_equal(stats.q.mean[i], alone.q.mean)
+            assert np.array_equal(stats.q.scale[i], alone.q.scale)
+            assert np.array_equal(stats.b_beta[i], alone.b_beta)
+
+    @pytest.mark.parametrize("counts", [[3, 1], [2, 0, 3], [6]])
+    def test_segments_must_tile_the_rows(self, tiny_params, rng, counts):
+        support = rng.standard_normal((5, tiny_params.arch.global_dim))
+        with pytest.raises(nn.ShapeMismatchError, match="do not tile"):
+            construct_posterior(tiny_params, support, counts=np.array(counts))
+
 
 class TestPredictLogits:
     def test_zero_local_branch_reduces_to_global(self, tiny_params, rng):
@@ -227,6 +250,26 @@ class TestPredictLogits:
                 for g in range(arch.global_dim):
                     acc += w_cls[g, cls] * q_global[i, g]
                 assert abs(logits[i, cls] - acc) < 1e-12
+
+    def test_row_form_equals_each_batch_alone(self, rng):
+        # one weight vector and bias per query row: each batch's rows get
+        # its own logits, up to the rounding of einsum against a GEMM
+        params = randomized_params(small_arch(), rng)
+        arch = params.arch
+        sizes = [3, 1, 4]
+        beta = rng.standard_normal((len(sizes), arch.beta_dim))
+        b_beta = rng.standard_normal((len(sizes), arch.num_classes))
+        q_global = rng.standard_normal((sum(sizes), arch.global_dim))
+        q_local = rng.standard_normal((sum(sizes), arch.local_dim))
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        logits = predict_logits(params, beta[rows], b_beta[rows], q_global, q_local)
+        lo = 0
+        for i, n in enumerate(sizes):
+            want = predict_logits(
+                params, beta[i], b_beta[i], q_global[lo : lo + n], q_local[lo : lo + n]
+            )
+            assert max_rel_err(logits[lo : lo + n], want) < 1e-13
+            lo += n
 
     def test_bad_beta_length(self, tiny_params, rng):
         arch = tiny_params.arch
