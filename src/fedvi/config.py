@@ -174,7 +174,7 @@ def build_config(
     for (section, key), value in v.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{origin}: {section}.{key} = {value!r} is not finite")
-    for section, key in (("run", "seed"), ("data", "data_seed")):
+    for section, key in (("run", "seed"), ("data", "data_seed"), ("bound", "trials")):
         if v[(section, key)] is not None and v[(section, key)] < 0:
             raise ConfigError(f"{origin}: {section}.{key} = {v[(section, key)]} is negative")
     seed = v[("run", "seed")]

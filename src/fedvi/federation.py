@@ -183,33 +183,37 @@ def client_update(
 
     Client k draws its minibatches and noise from ``rngs[k]``. The global
     parameters are copied once into stacked blocks, one row per client;
-    at local step t, every maximal run of adjacent rows whose t-th batches
-    have the same size takes one stacked step (loss, backward, SGD update)
-    on views of its rows. A cohort of one client computes exactly what that
-    client computes in any cohort.
+    at step j of each local epoch, every maximal run of adjacent rows whose
+    j-th batches of the epoch have the same size takes one stacked step
+    (loss, backward, SGD update) on views of its rows. A cohort of one
+    client computes exactly what that client computes in any cohort.
 
     Each ClientUpdate holds the pseudo-gradient delta = initial - final,
     the client's training example count as aggregation weight, and loss
     statistics. Clients with no batch (``ArchConfig.batch_slices``) are skipped.
     The copies are discarded: clients are stateless. A NonFiniteError
-    names the client and batch index of the first failing client in
-    cohort order, at the earliest failing step.
+    names the client and its own batch index of the first failing client
+    in cohort order, at the earliest failing step.
     """
     arch = global_params.arch
     plans = [list(iter_local_batches(c, cfg, arch, rng)) for c, rng in zip(clients, rngs)]
-    # Rows in descending order of the clients' batch-size sequences: with
-    # one local epoch, the clients that share a batch size at a step are
-    # then adjacent rows and take one stacked step.
+    # Every epoch cuts a client's rows alike, so rows go in descending order
+    # of one epoch's batch sizes: the clients that share a batch size at a
+    # step of an epoch are then adjacent rows and take one stacked step.
+    epoch_sizes = [
+        [xb.shape[0] for xb, _, _ in plan[: len(plan) // cfg.local_epochs]] for plan in plans
+    ]
     order = sorted(
-        (k for k, plan in enumerate(plans) if plan),
-        key=lambda k: [xb.shape[0] for xb, _, _ in plans[k]],
-        reverse=True,
+        (k for k, plan in enumerate(plans) if plan), key=epoch_sizes.__getitem__, reverse=True
     )
     params = global_params.stacked(len(order))
     loss_sum, nll_sum, reg_sum, kl_sum = (np.zeros(len(order)) for _ in range(4))
-    for t in range(max((len(plans[k]) for k in order), default=0)):
-        # Batch size of each row at step t; 0 for a row whose plan has ended.
-        sizes = [plans[k][t][0].shape[0] if t < len(plans[k]) else 0 for k in order]
+    width = max((len(epoch_sizes[k]) for k in order), default=0)
+    for epoch, j in itertools.product(range(cfg.local_epochs), range(width)):
+        # Row k trains on its batch epoch * L_k + j, for L_k batches an
+        # epoch; a row whose epoch has ended has size 0.
+        sizes = [epoch_sizes[k][j] if j < len(epoch_sizes[k]) else 0 for k in order]
+        batch = [epoch * len(epoch_sizes[k]) + j for k in order]
         failed: list[int] = []
         hi = 0
         for size, run in itertools.groupby(sizes):
@@ -218,7 +222,9 @@ def client_update(
                 continue
             rows = slice(lo, hi)
             try:
-                parts = _stacked_step(params.rows(rows), [plans[k][t] for k in order[rows]], cfg)
+                parts = _stacked_step(
+                    params.rows(rows), [plans[k][t] for k, t in zip(order[rows], batch[rows])], cfg
+                )
             except nn.NonFiniteError:
                 failed += range(lo, hi)
                 continue
@@ -229,13 +235,13 @@ def client_update(
         if failed:
             # Rerun the failed rows one at a time, in cohort order.
             for row in sorted(failed, key=order.__getitem__):
-                k = order[row]
+                k, t = order[row], batch[row]
                 try:
                     _stacked_step(params.rows(slice(row, row + 1)), [plans[k][t]], cfg)
                 except nn.NonFiniteError as exc:
                     exc.add_context(client=clients[k].client_id, batch=t)
                     raise
-            raise RuntimeError(f"step {t} failed in a stack but for no client alone")
+            raise RuntimeError(f"step {j} of epoch {epoch} failed in a stack, for no client alone")
     blocks = list(zip(global_params.all_blocks(), params.all_blocks()))
     updates = []
     for row, k in sorted(enumerate(order), key=lambda pair: pair[1]):
@@ -320,11 +326,6 @@ def _accuracy_weighted(per_client: list[tuple[float, int]]) -> float:
     return sum(a * w for a, w in per_client) / wsum
 
 
-# Test rows per forward pass of evaluate, in chunks of whole clients (a
-# client with more rows is a chunk of its own); bounds evaluate's memory.
-EVAL_STACK_ROWS = 8192
-
-
 def eval_batches(client: ClientDataset, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
     """The test batches ``evaluate`` scores for ``client``: its test set cut
     by ``ArchConfig.batch_slices``, as one batch on the non-personalized path."""
@@ -346,84 +347,47 @@ def evaluate(
     test set as one batch. Batches come from ``eval_batches``; clients with
     no test batch are excluded.
 
-    Clients are scored in chunks of whole clients of at most
-    ``EVAL_STACK_ROWS`` test rows, one flat forward pass per chunk with the
-    shared weights: one embedding of all the chunk's rows, one constructor
-    pass over all support rows with one segment per batch
+    Every test batch of every scored client goes through one flat forward
+    pass with the shared weights: one embedding of all scored rows, one
+    constructor pass over all support rows with one segment per batch
     (``construct_posterior``'s segment form), and one classifier pass over
     all query rows, each row scored with its own batch's posterior mean.
     A batch's logits are thus those of its own forward pass up to rounding
     in the last bit: the kernel a GEMM uses may depend on its row count, and
     the row form's local term is not a GEMM. Forward passes only: no graph
-    node is built.
+    node is built. Transient memory grows with the number of scored rows,
+    about 1.1 KiB a row.
     """
-    batch_sizes = [
-        (k, [b.stop - b.start for b in eval_batches(client, cfg, params.arch)])
-        for k, client in enumerate(clients)
-    ]
-    correct = np.zeros(len(clients), dtype=np.int64)
-    seen = np.zeros(len(clients), dtype=np.int64)
-    for chunk in _client_chunks([unit for unit in batch_sizes if unit[1]]):
-        owner, hit = _score_chunk(params, clients, chunk, cfg)
-        correct += np.bincount(owner[hit], minlength=len(clients))
-        seen += np.bincount(owner, minlength=len(clients))
-    per_client = [
-        (c / s, client.n_test)
-        for c, s, client in zip(correct.tolist(), seen.tolist(), clients)
-        if s
-    ]
-    excluded = len(clients) - len(per_client)
-    if not per_client:
-        return EvalResult(accuracy=float("nan"), excluded=excluded)
-    return EvalResult(accuracy=_accuracy_weighted(per_client), excluded=excluded)
-
-
-def _client_chunks(
-    batch_sizes: list[tuple[int, list[int]]],
-) -> Iterator[list[tuple[int, list[int]]]]:
-    """Consecutive runs of whole clients, given as (index, batch sizes), of
-    at most ``EVAL_STACK_ROWS`` rows; a client with more rows is a run alone."""
-    chunk: list[tuple[int, list[int]]] = []
-    rows = 0
-    for k, sizes in batch_sizes:
-        if chunk and rows + sum(sizes) > EVAL_STACK_ROWS:
-            yield chunk
-            chunk, rows = [], 0
-        chunk.append((k, sizes))
-        rows += sum(sizes)
-    if chunk:
-        yield chunk
-
-
-def _score_chunk(
-    params: FedVIParams,
-    clients: list[ClientDataset],
-    chunk: list[tuple[int, list[int]]],
-    cfg: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One flat forward pass over the test batches of the chunk's clients,
-    given as (index into ``clients``, batch sizes). A client's batches are
-    the first rows of its test set, back to back. Returns, per scored row,
-    the index of its client and whether its prediction hit."""
-    tests = [(clients[k].test_arrays(), sum(sizes)) for k, sizes in chunk]
+    # A client's batches are the first rows of its test set, back to back.
+    sizes_of = [[b.stop - b.start for b in eval_batches(c, cfg, params.arch)] for c in clients]
+    scored = [k for k, sizes in enumerate(sizes_of) if sizes]
+    if not scored:
+        return EvalResult(accuracy=float("nan"), excluded=len(clients))
+    tests = [(clients[k].test_arrays(), sum(sizes_of[k])) for k in scored]
     x = np.concatenate([x_te[:n] for (x_te, _), n in tests])
     y = np.concatenate([y_te[:n] for (_, y_te), n in tests])
-    sizes = np.array([size for _, client_sizes in chunk for size in client_sizes])
-    owner = np.repeat([k for k, client_sizes in chunk for _ in client_sizes], sizes)
+    sizes = np.array([size for k in scored for size in sizes_of[k]])
+    owner = np.repeat([k for k in scored for _ in sizes_of[k]], sizes)
     if cfg.algorithm == "fedavg":
-        return owner, global_branch_logits(params, x).argmax(axis=-1) == y
-    arch = params.arch
-    # split_support_query's rule, int(support_fraction * size), per batch
-    support = (arch.support_fraction * sizes).astype(np.int64)
-    position = np.arange(x.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    query = position >= np.repeat(support, sizes)
-    feats_global, feats_local = split_features(arch, embed(params, x))
-    stats = construct_posterior(params, feats_global[~query], counts=support)
-    batch = np.repeat(np.arange(sizes.size), sizes - support)
-    logits = predict_logits(
-        params, stats.q.mean[batch], stats.b_beta[batch], feats_global[query], feats_local[query]
-    )
-    return owner[query], logits.argmax(axis=-1) == y[query]
+        hit = global_branch_logits(params, x).argmax(axis=-1) == y
+    else:
+        arch = params.arch
+        # split_support_query's rule, int(support_fraction * size), per batch
+        support = (arch.support_fraction * sizes).astype(np.int64)
+        position = np.arange(x.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        query = position >= np.repeat(support, sizes)
+        feats_global, feats_local = split_features(arch, embed(params, x))
+        stats = construct_posterior(params, feats_global[~query], counts=support)
+        batch = np.repeat(np.arange(sizes.size), sizes - support)
+        logits = predict_logits(
+            params, stats.q.mean[batch], stats.b_beta[batch],
+            feats_global[query], feats_local[query],
+        )
+        owner, hit = owner[query], logits.argmax(axis=-1) == y[query]
+    correct = np.bincount(owner[hit], minlength=len(clients)).tolist()
+    seen = np.bincount(owner, minlength=len(clients)).tolist()
+    per_client = [(correct[k] / seen[k], clients[k].n_test) for k in scored]
+    return EvalResult(accuracy=_accuracy_weighted(per_client), excluded=len(clients) - len(scored))
 
 
 def summarize(reports: list[RoundReport], rounds: int, window: int | None = None) -> dict:

@@ -70,6 +70,9 @@ class ArchConfig:
     def __post_init__(self) -> None:
         if self.input_dim < 1 or self.num_classes < 2 or not self.embed_widths:
             raise ValueError("input_dim >= 1, num_classes >= 2 and a nonempty embedding required")
+        for name in ("embed_widths", "posterior_widths"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"{name}: every width must be >= 1, got {getattr(self, name)}")
         if self.local_dim < 1 or self.global_dim < 1:
             raise ValueError("local_dim and global_dim must each be >= 1")
         if self.local_dim + self.global_dim != self.embed_widths[-1]:

@@ -320,6 +320,23 @@ class TestBoundHoldsCheck:
         assert bumped.holding_fraction >= base.holding_fraction
         assert all(a <= b for a, b in zip(base.rhs_values, bumped.rhs_values))
 
+    def test_slack_under_the_true_risk_fails_the_check(self):
+        # Negative control: the RHS is linear in the slack and the trials'
+        # draws do not depend on it, so lowering the slack by eta times the
+        # largest margin of RHS over true risk, plus eta, puts every trial's
+        # RHS under its true risk.
+        task, params = self._trained()
+        pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
+        base = bound_holds_check(task, params, pb, 5, substream(4, 5), slack=5.0)
+        assert base.holding_fraction == 1.0
+        margin = max(r - t for r, t in zip(base.rhs_values, base.true_risks))
+        low = bound_holds_check(
+            task, params, pb, 5, substream(4, 5), slack=5.0 - pb.eta * (margin + 1.0)
+        )
+        assert low.true_risks == base.true_risks
+        assert all(r < t for r, t in zip(low.rhs_values, low.true_risks))
+        assert low.holding_fraction == 0.0 < 0.95
+
     def test_details_align_with_rhs(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=2.0, delta=0.2, slack_samples=10, posterior_samples=4)

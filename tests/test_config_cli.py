@@ -259,8 +259,13 @@ class TestParamsFile:
             lambda arch: b"input_dim = 5",
             lambda arch: {**arch, "local_dim": 0},
             lambda arch: {**arch, "hidden_act": "tanh"},
+            lambda arch: {**arch, "embed_widths": [0, 6]},
+            lambda arch: {**arch, "posterior_widths": [8, 0]},
         ],
-        ids=["missing-key", "not-json", "invalid-value", "unknown-key"],
+        ids=[
+            "missing-key", "not-json", "invalid-value", "unknown-key",
+            "zero-embed-width", "zero-posterior-width",
+        ],
     )
     def test_malformed_header_is_a_format_error(self, edit, tmp_path, rng):
         path = tmp_path / "p.bin"
@@ -740,6 +745,29 @@ class TestExitCodes:
         code = main(["train", "--config", write_cfg(tmp_path), "--out", str(out), "--seed=-1"])
         assert code == cli.EXIT_CONFIG
         assert "run.seed = -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", [True, False], ids=["check", "no-check"])
+    def test_negative_bound_trials(self, check, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("trials = 4", "trials = -1"))
+        args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", "x.bin"]
+        assert main(args + ["--check"] * check) == cli.EXIT_CONFIG
+        assert "bound.trials = -1 is negative" in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("embed_widths = 8,6", "embed_widths = 0,6", "embed_widths: every width must be >= 1"),
+            ("posterior_widths = 8,8", "posterior_widths = -2,4", "posterior_widths: every width"),
+        ],
+        ids=["embed", "posterior"],
+    )
+    def test_layer_width_below_one(self, old, new, message, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace(old, new))
+        assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

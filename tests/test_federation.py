@@ -457,13 +457,21 @@ class TestLockstepCohort:
                 assert np.array_equal(got.delta[name], want.delta[name]), name
             assert any(np.any(d != 0.0) for d in got.delta.values())
 
-    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
-    def test_one_epoch_takes_one_step_per_batch_size(self, algorithm, monkeypatch):
-        # with one local epoch, the clients that share a batch size at a
-        # step are adjacent rows: one stacked step per distinct size
+    @pytest.mark.parametrize(
+        "algorithm, local_epochs",
+        [
+            pytest.param(a, e, id=a if e == 1 else f"{a}-{e}-epochs")
+            for e in (1, 2, 3)
+            for a in ("fedvi", "fedavg")
+        ],
+    )
+    def test_one_epoch_takes_one_step_per_batch_size(self, algorithm, local_epochs, monkeypatch):
+        # every epoch cuts a client's rows alike, so the clients that share
+        # a batch size at a step of an epoch are adjacent rows: one stacked
+        # step per distinct size, at every epoch
         arch = small_arch()
         clients = ragged_clients(substream(41, 0), arch, RAGGED_TRAIN, [4] * 7)
-        cfg = make_cfg(batch_size=8, local_epochs=1, algorithm=algorithm)
+        cfg = make_cfg(batch_size=8, local_epochs=local_epochs, algorithm=algorithm)
         params = init_params(arch, substream(41, 1))
 
         def rngs():
@@ -473,15 +481,17 @@ class TestLockstepCohort:
             [xb.shape[0] for xb, _, _ in federation.iter_local_batches(c, cfg, arch, r)]
             for c, r in zip(clients, rngs())
         ]
-        expected = sum(
-            len({plan[t] for plan in sizes if t < len(plan)})
-            for t in range(max(map(len, sizes)))
+        epochs = [plan[: len(plan) // local_epochs] for plan in sizes]
+        assert sizes == [epoch * local_epochs for epoch in epochs]
+        expected = local_epochs * sum(
+            len({epoch[t] for epoch in epochs if t < len(epoch)})
+            for t in range(max(map(len, epochs)))
         )
         stacked_steps = []
         backward = nn.backward
         monkeypatch.setattr(nn, "backward", lambda loss: stacked_steps.append(1) or backward(loss))
         cohort = client_update(params, clients, cfg, rngs())
-        assert expected == 6  # sizes {8, 2}, {8, 5}, {5, 3}
+        assert expected == 6 * local_epochs  # sizes {8, 2}, {8, 5}, {5, 3} an epoch
         assert len(stacked_steps) == expected < cohort.steps
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -561,13 +571,9 @@ class TestMinBatch:
 
 class TestStackedEvaluate:
     @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
-    @pytest.mark.parametrize("stack_rows", [federation.EVAL_STACK_ROWS, 40, 16, 4])
-    def test_equals_per_batch_scoring(self, algorithm, stack_rows, monkeypatch):
+    def test_equals_per_batch_scoring(self, algorithm):
         # batch size 8: a size-1 tail (17 test examples, skipped), a client
-        # with one test example (excluded), tails of 5, equal test set sizes.
-        # Chunks of at most 40 rows split the call between clients; 16 and
-        # 4 rows are fewer than some clients' test sets, which go alone.
-        monkeypatch.setattr(federation, "EVAL_STACK_ROWS", stack_rows)
+        # with one test example (excluded), tails of 5, equal test set sizes
         arch = small_arch()
         clients = ragged_clients(substream(43, 0), arch, [3] * 6, [17, 1, 13, 21, 6, 13])
         cfg = make_cfg(batch_size=8, algorithm=algorithm)
@@ -594,15 +600,22 @@ class TestStackedEvaluate:
         assert res.accuracy == _accuracy_weighted(per_client)
 
     @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
-    @pytest.mark.parametrize("stack_rows, passes", [(federation.EVAL_STACK_ROWS, 1), (20, 3)])
-    def test_one_forward_pass_per_chunk(self, algorithm, stack_rows, passes, monkeypatch):
-        # batch size 8: tails of 3, 5, 6 and 2, and a client with one test
-        # example (excluded). Every scored row is embedded once, in one 2-D
-        # pass per chunk of whole clients (at 20 rows: 19, 13 + 6, 10), not
-        # one pass per batch size.
-        monkeypatch.setattr(federation, "EVAL_STACK_ROWS", stack_rows)
+    @pytest.mark.parametrize(
+        "test_sizes, rows",
+        [
+            # tails of 3, 5, 6 and 2, and a client with one test example
+            # (excluded)
+            ([19, 13, 6, 10, 1], 19 + 13 + 6 + 10),
+            # 110 clients of 80 test rows: 8800 scored rows in one pass
+            ([80] * 110, 8800),
+        ],
+        ids=["ragged", "8800-rows"],
+    )
+    def test_one_forward_pass_per_call(self, algorithm, test_sizes, rows, monkeypatch):
+        # batch size 8: every scored row is embedded once, in one 2-D pass
+        # for the whole call, not one pass per batch size or per client
         arch = small_arch()
-        clients = ragged_clients(substream(44, 0), arch, [3] * 5, [19, 13, 6, 10, 1])
+        clients = ragged_clients(substream(44, 0), arch, [3] * len(test_sizes), test_sizes)
         params = init_params(arch, substream(44, 1))
         shapes = []
         original = model.embed
@@ -614,9 +627,8 @@ class TestStackedEvaluate:
         monkeypatch.setattr(model, "embed", embed)  # global_branch_logits's
         monkeypatch.setattr(federation, "embed", embed)
         evaluate(params, clients, make_cfg(batch_size=8, algorithm=algorithm))
-        assert len(shapes) == passes
-        assert all(len(shape) == 2 for shape in shapes)
-        assert sum(rows for rows, _ in shapes) == 19 + 13 + 6 + 10
+        assert len(shapes) == 1 and len(shapes[0]) == 2
+        assert shapes[0][0] == rows
 
 
 class TestTrainConfigValidation:

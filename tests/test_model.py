@@ -488,6 +488,14 @@ class TestArchConfig:
         with pytest.raises(ValueError):
             small_arch(support_fraction=1.0)
 
+    @pytest.mark.parametrize(
+        "field, widths",
+        [("embed_widths", (0, 6)), ("posterior_widths", (-2, 4)), ("posterior_widths", (8, 0))],
+    )
+    def test_layer_widths_must_be_positive(self, field, widths):
+        with pytest.raises(ValueError, match=f"^{field}: every width must be >= 1"):
+            small_arch(**{field: widths})
+
 
 def client_row(stacked, row: int):
     """Row ``row`` of stacked parameters as one client's own parameters."""
