@@ -17,7 +17,7 @@ from .datagen import (
 from .distributions import DiagGaussian, glorot_scale, kl_diag, mc_kl_estimate, sample_reparam
 from .federation import TrainConfig, evaluate, run_training, sample_cohort, server_apply
 from .model import ArchConfig, FedVIParams, init_params, minibatch_loss
-from .nn import ParamBlock, Tensor, backward, finite_diff_grad
+from .nn import Tensor, backward, finite_diff_grad
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,6 @@ __all__ = [
     "FedVIParams",
     "FederatedDataset",
     "GenConfig",
-    "ParamBlock",
     "Tensor",
     "TrainConfig",
     "backward",

@@ -41,7 +41,7 @@ from .federation import (
     evaluate,
     run_training,
 )
-from .model import ArchConfig, FedVIParams, ParamBlock, block_shapes, params_from_blocks
+from .model import ArchConfig, FedVIParams, block_shapes
 from .nn import NonFiniteError
 from .seeding import DOMAIN_ABLATION, DOMAIN_BOUND, substream
 from .bounds import SyntheticTask, synthetic_task
@@ -67,14 +67,12 @@ class ParamsFormatError(ValueError):
 
 def save_params(params: FedVIParams, path) -> None:
     arch_json = json.dumps(dataclasses.asdict(params.arch), sort_keys=True).encode("utf-8")
-    blocks = params.all_blocks()
     parts = [PARAMS_MAGIC, struct.pack("<I", PARAMS_VERSION)]
     parts.append(struct.pack("<I", len(arch_json)))
     parts.append(arch_json)
-    parts.append(struct.pack("<I", len(blocks)))
-    for b in blocks:
-        name = b.name.encode("utf-8")
-        arr = b.value.array
+    parts.append(struct.pack("<I", len(params.blocks)))
+    for block_name, arr in params.blocks.items():
+        name = block_name.encode("utf-8")
         parts.append(struct.pack("<I", len(name)))
         parts.append(name)
         parts.append(struct.pack("<I", arr.ndim))
@@ -134,14 +132,13 @@ def load_params(path) -> FedVIParams:
                 f"{path}: block {name!r} of shape {shape}; the architecture has "
                 f"{want[0]!r} of shape {want[1]}"
             )
-        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
-        try:
-            blocks.append(ParamBlock(name, arr))
-        except NonFiniteError as exc:
-            raise ParamsFormatError(f"{path}: {exc}") from exc
+        arr = np.frombuffer(r.take(8 * math.prod(shape)), dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise ParamsFormatError(f"{path}: parameter {name!r} contains non-finite entries")
+        blocks.append(arr)
     if r.pos != len(r.blob):
         raise ParamsFormatError(f"{path}: {len(r.blob) - r.pos} bytes after the last block")
-    return params_from_blocks(blocks, arch)
+    return FedVIParams(np.concatenate(blocks, dtype=np.float64), arch)
 
 
 def _load_params_for(cfg: ExperimentConfig, params_path) -> FedVIParams:

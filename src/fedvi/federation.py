@@ -84,7 +84,7 @@ class DegenerateRoundError(RuntimeError):
 @dataclass
 class ServerState:
     params: FedVIParams
-    momentum: dict[str, np.ndarray]
+    momentum: np.ndarray  # [P], laid out as params.flat
     round_index: int = 0
 
 
@@ -106,7 +106,7 @@ class RoundReport:
 @dataclass
 class ClientUpdate:
     client_id: int
-    delta: dict[str, np.ndarray]
+    delta: np.ndarray  # [P], laid out as FedVIParams.flat
     weight: int
     mean_loss: float
     loss_sum: float
@@ -182,13 +182,15 @@ def client_update(
     """Local training of a cohort on copies of the global parameters.
 
     Client k draws its minibatches and noise from ``rngs[k]``. The global
-    parameters are copied once into stacked blocks, one row per client;
-    at step j of each local epoch, every maximal run of adjacent rows whose
-    j-th batches of the epoch have the same size takes one stacked step
-    (loss, backward, SGD update) on views of its rows. A cohort of one
-    client computes exactly what that client computes in any cohort.
+    parameter vector is copied once into a [C x P] matrix, one row per
+    client; at step j of each local epoch, every maximal run of adjacent
+    rows whose j-th batches of the epoch have the same size takes one
+    stacked step (loss, backward, SGD update) on a view of its rows. A
+    cohort of one client computes exactly what that client computes in any
+    cohort.
 
-    Each ClientUpdate holds the pseudo-gradient delta = initial - final,
+    Each ClientUpdate holds the pseudo-gradient delta = initial - final
+    (the client's row of the cohort matrix taken from the global vector),
     the client's training example count as aggregation weight, and loss
     statistics. Clients with no batch (``ArchConfig.batch_slices``) are skipped.
     The copies are discarded: clients are stateless. A NonFiniteError
@@ -242,17 +244,13 @@ def client_update(
                     exc.add_context(client=clients[k].client_id, batch=t)
                     raise
             raise RuntimeError(f"step {j} of epoch {epoch} failed in a stack, for no client alone")
-    blocks = list(zip(global_params.all_blocks(), params.all_blocks()))
     updates = []
     for row, k in sorted(enumerate(order), key=lambda pair: pair[1]):
         steps = len(plans[k])
         updates.append(
             ClientUpdate(
                 client_id=clients[k].client_id,
-                delta={
-                    g.name: g.value.array - b.value.array[row].reshape(g.shape)
-                    for g, b in blocks
-                },
+                delta=global_params.flat - params.flat[row],
                 weight=clients[k].n_train,
                 mean_loss=float(loss_sum[row]) / steps,
                 loss_sum=float(loss_sum[row]),
@@ -282,41 +280,40 @@ def _stacked_step(
         loss, parts = minibatch_loss(params, xb, yb, cfg.tau, np.stack([b[2] for b in batches]))
     else:
         loss, parts = global_branch_loss(params, xb, yb)
-    grads = nn.backward(loss)
-    for block in params.all_blocks():
-        g = grads.get(block.name)
-        if g is not None:
-            block.value.array -= cfg.client_lr * g
+    params.flat -= cfg.client_lr * nn.backward(loss)["theta"]
     return parts
 
 
 def init_server(arch: ArchConfig, seed: int) -> ServerState:
     params = init_params(arch, substream(seed, DOMAIN_INIT))
-    momentum = {b.name: np.zeros_like(b.value.array) for b in params.all_blocks()}
-    return ServerState(params=params, momentum=momentum)
+    return ServerState(params=params, momentum=np.zeros_like(params.flat))
 
 
 def server_apply(
     state: ServerState,
-    deltas: list[dict[str, np.ndarray]],
+    deltas: list[np.ndarray],
     weights: list[int],
     cfg: TrainConfig,
 ) -> ServerState:
-    """Example-weighted mean pseudo-gradient into SGD-with-momentum."""
+    """Example-weighted mean pseudo-gradient into SGD-with-momentum.
+
+    Each delta is one [P] vector laid out as ``FedVIParams.flat``; the mean
+    adds them in the order given. A NonFiniteError names the first block,
+    in ``block_shapes`` order, that the update left non-finite.
+    """
     if not deltas:
         raise ValueError("server_apply needs at least one client delta")
     if len(deltas) != len(weights) or any(w <= 0 for w in weights):
         raise ValueError("weights must be positive and align with deltas")
     wsum = float(sum(weights))
-    for block in state.params.all_blocks():
-        g = np.zeros_like(block.value.array)
-        for delta, w in zip(deltas, weights):
-            g += (w / wsum) * delta[block.name]
-        buf = state.momentum[block.name]
-        buf *= cfg.server_momentum
-        buf += g
-        block.value.array -= cfg.server_lr * buf
-        nn.assert_all_finite(block.value.array, f"server parameter {block.name!r}")
+    g = np.zeros_like(state.params.flat)
+    for delta, w in zip(deltas, weights):
+        g += (w / wsum) * delta
+    state.momentum *= cfg.server_momentum
+    state.momentum += g
+    state.params.flat -= cfg.server_lr * state.momentum
+    for name, block in state.params.blocks.items():
+        nn.assert_all_finite(block, f"server parameter {name!r}")
     state.round_index += 1
     return state
 
@@ -355,8 +352,9 @@ def evaluate(
     A batch's logits are thus those of its own forward pass up to rounding
     in the last bit: the kernel a GEMM uses may depend on its row count, and
     the row form's local term is not a GEMM. Forward passes only: no graph
-    node is built. Transient memory grows with the number of scored rows,
-    about 1.1 KiB a row.
+    node is built. Transient memory grows with the number of scored rows
+    and with ``posterior_out_dim`` = (2L + 1)K: about 1.1 KiB a row at
+    heterogeneous.cfg's K = 5, L = 4, and 11.1 KiB a row at K = 62, L = 8.
     """
     # A client's batches are the first rows of its test set, back to back.
     sizes_of = [[b.stop - b.start for b in eval_batches(c, cfg, params.arch)] for c in clients]

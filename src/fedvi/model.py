@@ -11,18 +11,22 @@ between the rebuilt posterior and its prior.
 The support half is label-free by construction: only query labels are ever
 read, which is what lets an unseen client personalize from unlabeled data.
 
+The parameters are one float64 vector, ``FedVIParams.flat``, and every
+weight and bias is a view of it cut at fixed offsets (``ArchConfig.layout``).
 Every stage works on plain float64 arrays. ``minibatch_loss`` (and
 ``global_branch_loss`` for the averaging baseline) returns the loss as one
-``nn.fused`` graph node over the parameter leaves; its reverse pass is
-derived by hand, stage by stage, from the activations the forward pass
-kept, so ``nn.backward(loss)`` yields every parameter's gradient.
+``nn.fused`` graph node over one leaf, the vector itself; its reverse pass
+is derived by hand, stage by stage, from the activations the forward pass
+kept, and writes each block's gradient into the matching view of one
+gradient vector, so ``nn.backward(loss)["theta"]`` is d(loss)/d(flat).
 
 Every stage also takes a stack of batches, one per client, on a leading
 axis: a 2-D [B x d] input is one client's batch, a 3-D [C x B x d] input C
 batches of equal size. Stacked batches run with shared parameters or with
-stacked ones from ``FedVIParams.stacked`` (as the cohort's local training
-does). Each client's slice goes through the same BLAS calls and reductions
-as its batch alone, so its results are bit-identical to the 2-D case.
+stacked ones, a [C x P] matrix from ``FedVIParams.stacked`` (as the
+cohort's local training does). Each client's slice goes through the same
+BLAS calls and reductions as its batch alone, so its results are
+bit-identical to the 2-D case.
 Batches of any sizes can also run flat, back to back in one 2-D matrix (as
 ``evaluate`` does): ``construct_posterior``'s segment form gives one
 posterior per batch and ``predict_logits``'s row form scores each query
@@ -47,7 +51,7 @@ from .distributions import (
     sample_reparam_grad,
     standard_prior,
 )
-from .nn import ParamBlock, Tensor
+from .nn import Tensor
 
 POSTERIOR_HEAD_INIT_SHRINK = 100.0
 
@@ -124,53 +128,57 @@ class ArchConfig:
         """N(0, prior_scale^2 I) over the local weights, built once per config."""
         return standard_prior(self.beta_dim, self.prior_scale)
 
+    @functools.cached_property
+    def layout(self) -> dict[str, tuple[slice, tuple[int, ...]]]:
+        """Each block's slice of the flat parameter vector and its shape, in
+        ``block_shapes`` order; the slices tile the vector."""
+        layout, start = {}, 0
+        for name, shape in block_shapes(self).items():
+            layout[name] = (slice(start, start + math.prod(shape)), shape)
+            start += math.prod(shape)
+        return layout
 
-@dataclass
+    @property
+    def num_params(self) -> int:
+        """P, the length of the flat parameter vector."""
+        return next(reversed(self.layout.values()))[0].stop
+
+
 class FedVIParams:
-    """All server-side parameters: embedding, posterior constructor, classifier."""
+    """All server-side parameters as one float64 vector ``flat``: [P] for the
+    server, or [C x P] for a cohort, one row per client.
 
-    theta_embed: list[ParamBlock]
-    theta_post: list[ParamBlock]
-    theta_cls: list[ParamBlock]
-    arch: ArchConfig
+    ``blocks`` holds every block by name, in ``block_shapes`` order, as a
+    view of ``flat`` cut by ``ArchConfig.layout``: a weight is [in x out] and
+    a bias [out], or, stacked, [C x in x out] and [C x 1 x out], so that they
+    broadcast over a stacked batch. ``theta_embed``, ``theta_post`` and
+    ``theta_cls`` list each MLP's views, weight then bias, layer by layer.
+    """
 
-    def all_blocks(self) -> list[ParamBlock]:
-        return [*self.theta_embed, *self.theta_post, *self.theta_cls]
+    def __init__(self, flat: np.ndarray, arch: ArchConfig) -> None:
+        self.flat = flat
+        self.arch = arch
+        lead, stacked = flat.shape[:-1], flat.ndim == 2
+        views = [
+            flat[..., cut].reshape(lead + (1,) * (stacked and len(shape) == 1) + shape)
+            for cut, shape in arch.layout.values()
+        ]
+        self.blocks = dict(zip(arch.layout, views))
+        embed = 2 * len(arch.embed_widths)  # block_shapes: embed, post, then cls.W, cls.b
+        self.theta_embed = views[:embed]
+        self.theta_post, self.theta_cls = views[embed:-2], views[-2:]
 
     def stacked(self, count: int) -> "FedVIParams":
-        """``count`` copies of every block along a new leading client axis.
-
-        Every stacked block is 3-D: a weight [count x in x out], a bias
-        [count x 1 x out], so that it broadcasts over a stacked batch.
-        """
-
-        def stack(b: ParamBlock) -> ParamBlock:
-            a = b.value.array.reshape((1,) * (3 - b.value.array.ndim) + b.shape)
-            return ParamBlock(b.name, np.broadcast_to(a, (count, *a.shape[1:])))
-
-        return self._map(stack)
+        """``count`` copies of the server's vector, as a [count x P] matrix."""
+        return FedVIParams(np.repeat(self.flat[None], count, axis=0), self.arch)
 
     def rows(self, sel: slice) -> "FedVIParams":
-        """The clients ``sel`` of stacked parameters, as views (``ParamBlock.rows``)."""
-        return self._map(lambda b: b.rows(sel))
-
-    def _map(self, fn) -> "FedVIParams":
-        return FedVIParams(
-            [fn(b) for b in self.theta_embed],
-            [fn(b) for b in self.theta_post],
-            [fn(b) for b in self.theta_cls],
-            self.arch,
-        )
-
-    def block(self, name: str) -> ParamBlock:
-        for b in self.all_blocks():
-            if b.name == name:
-                return b
-        raise KeyError(name)
+        """The clients ``sel`` of stacked parameters, as a view."""
+        return FedVIParams(self.flat[sel], self.arch)
 
 
 def block_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter block's name and shape, in ``all_blocks`` order."""
+    """Every parameter block's name and shape, in the flat vector's order."""
     shapes = {}
     for prefix, dims in (
         ("embed", [arch.input_dim, *arch.embed_widths]),
@@ -184,14 +192,6 @@ def block_shapes(arch: ArchConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def params_from_blocks(blocks: list[ParamBlock], arch: ArchConfig) -> FedVIParams:
-    """Blocks in ``block_shapes`` order, grouped by their name's prefix."""
-    embed, post, cls = (
-        [b for b in blocks if b.name.startswith(prefix)] for prefix in ("embed.", "post.", "cls.")
-    )
-    return FedVIParams(embed, post, cls, arch)
-
-
 def init_params(arch: ArchConfig, rng: np.random.Generator) -> FedVIParams:
     """Glorot-normal weights, zero biases.
 
@@ -199,20 +199,18 @@ def init_params(arch: ArchConfig, rng: np.random.Generator) -> FedVIParams:
     posterior starts out indistinguishable from its prior.
     """
     head = f"post.{len(arch.posterior_widths)}.W"
-    blocks = []
-    for name, shape in block_shapes(arch).items():
-        if len(shape) == 1:
-            blocks.append(ParamBlock(name, np.zeros(shape)))
-            continue
-        std = glorot_scale(*shape)
-        if name == head:
-            std /= POSTERIOR_HEAD_INIT_SHRINK
-        blocks.append(ParamBlock(name, std * rng.standard_normal(shape)))
-    return params_from_blocks(blocks, arch)
+    params = FedVIParams(np.zeros(arch.num_params), arch)
+    for name, block in params.blocks.items():
+        if block.ndim == 2:
+            std = glorot_scale(*block.shape)
+            if name == head:
+                std /= POSTERIOR_HEAD_INIT_SHRINK
+            block[...] = std * rng.standard_normal(block.shape)
+    return params
 
 
 def _mlp_forward(
-    blocks: list[ParamBlock], x: np.ndarray, acts: list[np.ndarray] | None = None
+    blocks: list[np.ndarray], x: np.ndarray, acts: list[np.ndarray] | None = None
 ) -> np.ndarray:
     """Dense layers with ReLU between them (none after the last).
 
@@ -225,34 +223,35 @@ def _mlp_forward(
     for i in range(n_layers):
         if acts is not None:
             acts.append(h)
-        h = h @ blocks[2 * i].value.array + blocks[2 * i + 1].value.array
+        h = h @ blocks[2 * i] + blocks[2 * i + 1]
         if i < n_layers - 1:
             h = np.maximum(h, 0.0)
     return h
 
 
 def _mlp_backward(
-    blocks: list[ParamBlock],
+    blocks: list[np.ndarray],
     acts: list[np.ndarray],
     d_out: np.ndarray,
-    grads: dict[str, np.ndarray],
+    grads: list[np.ndarray],
     input_grad: bool = False,
 ) -> np.ndarray | None:
     """Reverse pass of ``_mlp_forward`` from d(loss)/d(output).
 
-    Writes each block's gradient into ``grads`` by name and returns
-    d(loss)/d(input) when ``input_grad`` is set. Stacked blocks (3-D, from
-    ``FedVIParams.stacked``) get one gradient per client.
+    Writes each block's gradient into the array of ``grads`` at its
+    position (views of a gradient vector, laid out as ``blocks``) and
+    returns d(loss)/d(input) when ``input_grad`` is set. Stacked blocks
+    (3-D, from ``FedVIParams.stacked``) get one gradient per client.
     """
     d = d_out
     for i in reversed(range(len(blocks) // 2)):
         h = acts[i]
-        weight, bias = blocks[2 * i], blocks[2 * i + 1]
-        grads[weight.name] = h.swapaxes(-1, -2) @ d
-        grads[bias.name] = d.sum(axis=-2, keepdims=bias.value.array.ndim == d.ndim)
+        np.matmul(h.swapaxes(-1, -2), d, out=grads[2 * i])
+        bias = grads[2 * i + 1]
+        d.sum(axis=-2, keepdims=bias.ndim == d.ndim, out=bias)
         if i == 0 and not input_grad:
             return None
-        d = d @ weight.value.array.swapaxes(-1, -2)
+        d = d @ blocks[2 * i].swapaxes(-1, -2)
         if i > 0:
             d = d * (h > 0.0)
     return d
@@ -368,10 +367,11 @@ def _posterior_backward(
     d_mean: np.ndarray,
     d_scale: np.ndarray,
     d_bias: np.ndarray,
-    grads: dict[str, np.ndarray],
+    grads: list[np.ndarray],
 ) -> np.ndarray:
     """Reverse pass of ``construct_posterior`` from d(loss)/d(mu, sigma,
-    b_beta); fills the constructor's gradients, returns d/d(support_global)."""
+    b_beta); fills the constructor's gradients ``grads`` (laid out as
+    ``theta_post``), returns d/d(support_global)."""
     arch = params.arch
     m = arch.beta_dim
     d_g = np.empty(d_bias.shape[:-1] + (arch.posterior_out_dim,))
@@ -510,14 +510,14 @@ def minibatch_loss(
     weight = tau / batch
     value = nll + weight * kl
     nn.assert_all_finite(value, "minibatch loss")
-    blocks = params.all_blocks()
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
-        out: dict[str, np.ndarray] = {}
+        # every block's gradient is written in full, so the buffer starts empty
+        out = FedVIParams(np.empty_like(params.flat), arch)
         d_logits_g = g * d_logits
         # two-branch logits: q_local @ reshape(beta).T + cls(q_global) + b_beta
         d_query_global = _mlp_backward(
-            params.theta_cls, [fwd.query_global], d_logits_g, out, input_grad=True
+            params.theta_cls, [fwd.query_global], d_logits_g, out.theta_cls, input_grad=True
         )
         weights = beta.reshape(beta.shape[:-1] + (arch.num_classes, arch.local_dim))
         d_weights_t = fwd.query_local.swapaxes(-1, -2) @ d_logits_g
@@ -529,39 +529,40 @@ def minibatch_loss(
         d_scale = d_scale + (g * weight) * kl_scale
         d_support_global = _posterior_backward(
             params, fwd.stats, fwd.post_acts, d_mean, d_scale,
-            d_logits_g.sum(axis=-2), out,
+            d_logits_g.sum(axis=-2), out.theta_post,
         )
         s, g_dim = fwd.support_size, arch.global_dim
         d_rep = np.zeros(d_logits.shape[:-2] + (batch, arch.rep_dim))
         d_rep[..., :s, :g_dim] = d_support_global
         d_rep[..., s:, :g_dim] = d_query_global
         d_rep[..., s:, g_dim:] = d_query_local
-        _mlp_backward(params.theta_embed, fwd.embed_acts, d_rep, out)
-        return [out[b.name] for b in blocks]
+        _mlp_backward(params.theta_embed, fwd.embed_acts, d_rep, out.theta_embed)
+        return [out.flat]
 
-    loss = nn.fused(value.sum(), [b.value for b in blocks], grads)
+    loss = nn.fused(value.sum(), [Tensor(params.flat, requires_grad=True, name="theta")], grads)
     return loss, LossParts(nll=nll, kl=kl, kl_weight=weight)
 
 
 def global_branch_loss(params: FedVIParams, x, y: np.ndarray) -> tuple[Tensor, LossParts]:
     """Summed NLL of the global branch on the whole batch (fedavg's loss).
 
-    One fused node over the embedding and classifier leaves; the
-    constructor gets no gradient. A stack of batches works as in
-    ``minibatch_loss``.
+    One fused node over the parameter vector, as in ``minibatch_loss``; the
+    constructor's gradient is +0.0, so an SGD step leaves it bit for bit as
+    it was. A stack of batches works as in ``minibatch_loss``.
     """
     acts: list[np.ndarray] = []
     nll, d_logits = nn.softmax_nll(global_branch_logits(params, x, acts), y)
     nn.assert_all_finite(nll, "minibatch loss")
-    blocks = [*params.theta_embed, *params.theta_cls]
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        d_global = _mlp_backward(params.theta_cls, acts[-1:], g * d_logits, out, input_grad=True)
+        out = FedVIParams(np.zeros_like(params.flat), params.arch)
+        d_global = _mlp_backward(
+            params.theta_cls, acts[-1:], g * d_logits, out.theta_cls, input_grad=True
+        )
         d_rep = np.zeros(d_logits.shape[:-1] + (params.arch.rep_dim,))
         d_rep[..., : params.arch.global_dim] = d_global
-        _mlp_backward(params.theta_embed, acts[:-1], d_rep, out)
-        return [out[b.name] for b in blocks]
+        _mlp_backward(params.theta_embed, acts[:-1], d_rep, out.theta_embed)
+        return [out.flat]
 
-    loss = nn.fused(nll.sum(), [b.value for b in blocks], grads)
+    loss = nn.fused(nll.sum(), [Tensor(params.flat, requires_grad=True, name="theta")], grads)
     return loss, LossParts(nll=nll, kl=np.zeros_like(nll), kl_weight=0.0)

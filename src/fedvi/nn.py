@@ -1,12 +1,13 @@
-"""Dense substrate: float64 parameter blocks and the reverse-pass entry point.
+"""Dense substrate: float64 tensors and the reverse-pass entry point.
 
 A ``Tensor`` is a node in a graph that :func:`backward` replays in reverse
-to produce exact gradients for every :class:`ParamBlock` reachable from a
-scalar loss. The model builds that graph as one :func:`fused` node per
-minibatch, or per stack of minibatches: its value is computed on plain
-arrays and its reverse pass is hand-derived, so the graph is the loss plus
-the parameter leaves. :func:`softmax_nll` works on arrays, one batch or a
-stack of them, and returns its gradient alongside.
+to produce exact gradients for every named leaf reachable from a scalar
+loss. The model builds that graph as one :func:`fused` node per minibatch,
+or per stack of minibatches, over one leaf, its flat parameter vector: the
+node's value is computed on plain arrays and its reverse pass is
+hand-derived, so the graph is the loss plus that leaf. :func:`softmax_nll`
+works on arrays, one batch or a stack of them, and returns its gradient
+alongside.
 
 The one-node-per-op graph ops (``add`` ... ``dropout``) remain because
 ``benchmarks/tracing.py`` names them: it counts their calls in traced
@@ -18,7 +19,7 @@ must never share code with the reverse-mode path.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,16 +54,12 @@ def assert_all_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contains non-finite entries")
 
 
-def _as_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
 class Tensor:
     """A float64 array plus the graph edges needed for reverse mode.
 
     ``parents`` and ``_push`` are empty for leaves. ``_push(grad, sink)``
     propagates an upstream gradient to the parents through ``sink``.
-    ``name`` is the name of the ParamBlock a leaf belongs to.
+    ``name`` names a leaf whose gradient :func:`backward` returns.
     """
 
     __slots__ = ("array", "parents", "_push", "requires_grad", "name")
@@ -86,7 +83,7 @@ class Tensor:
 
     @staticmethod
     def const(value) -> "Tensor":
-        return Tensor(_as_array(value))
+        return Tensor(np.asarray(value, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -137,35 +134,6 @@ class Tensor:
 
 def _coerce(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor.const(value)
-
-
-class ParamBlock:
-    """A named trainable array."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str, value) -> None:
-        arr = _as_array(value).copy()
-        assert_all_finite(arr, f"parameter {name!r}")
-        self._bind(name, arr)
-
-    def _bind(self, name: str, arr: np.ndarray) -> None:
-        self.name = name
-        self.value = Tensor(arr, requires_grad=True, name=name)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
-    def rows(self, sel: slice) -> "ParamBlock":
-        """The block's rows ``sel`` (along the first axis) as a block of
-        their own, a view of this block's array."""
-        block = ParamBlock.__new__(ParamBlock)
-        block._bind(self.name, self.value.array[sel])
-        return block
-
-    def __repr__(self) -> str:
-        return f"ParamBlock({self.name!r}, shape={self.shape})"
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -418,10 +386,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> dict[str, np.ndarray]:
-    """Reverse-accumulate d(loss)/d(param) for every reachable ParamBlock.
+    """Reverse-accumulate d(loss)/d(leaf) for every reachable named leaf.
 
     The loss must be scalar. Gradients are returned by name, as arrays of
-    this call that a later call leaves alone; a block the loss does not
+    this call that a later call leaves alone; a leaf the loss does not
     reach has no entry. Repeated calls on the same graph give identical
     results.
     """
@@ -454,27 +422,27 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
 
 def finite_diff_grad(
     f: Callable[[], float],
-    params: Sequence[ParamBlock],
+    params: Mapping[str, np.ndarray],
     eps: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradient oracle: (f(p+eps) - f(p-eps)) / (2 eps).
 
-    ``f`` is evaluated with the blocks' current values perturbed one
-    coordinate at a time and must be deterministic under fixed noise.
+    ``params`` maps names to the arrays ``f`` reads (views work, such as
+    ``FedVIParams.blocks``); each is perturbed in place one entry at a time
+    and restored. ``f`` must be deterministic under fixed noise.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     grads: dict[str, np.ndarray] = {}
-    for block in params:
-        flat = block.value.array.ravel()
-        g = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
+    for name, arr in params.items():
+        g = np.zeros(arr.shape)
+        for i in np.ndindex(arr.shape):
+            orig = arr[i]
+            arr[i] = orig + eps
             hi = f()
-            flat[i] = orig - eps
+            arr[i] = orig - eps
             lo = f()
-            flat[i] = orig
+            arr[i] = orig
             g[i] = (hi - lo) / (2.0 * eps)
-        grads[block.name] = g.reshape(block.value.array.shape)
+        grads[name] = g
     return grads

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fedvi import nn
 from fedvi.federation import client_update, init_server, sample_cohort, server_apply
-from fedvi.model import ArchConfig, init_params
+from fedvi.model import ArchConfig, FedVIParams, init_params
 from fedvi.seeding import DOMAIN_CLIENT, DOMAIN_COHORT, substream
 
 
@@ -28,6 +29,12 @@ def max_rel_err(approx: np.ndarray, exact: np.ndarray, floor: float = 1e-8) -> f
     if not mask.any():
         return 0.0
     return float(np.max(np.abs(a - b)[mask] / np.abs(b)[mask]))
+
+
+def grad_blocks(params: FedVIParams, loss: nn.Tensor) -> dict[str, np.ndarray]:
+    """``nn.backward``'s gradient of ``loss`` for the vector of ``params``,
+    cut into its blocks by name."""
+    return FedVIParams(nn.backward(loss)["theta"], params.arch).blocks
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ from fedvi.federation import (
 from fedvi.model import ArchConfig, construct_posterior, init_params, minibatch_loss
 from fedvi.seeding import DOMAIN_CLIENT, DOMAIN_COHORT, DOMAIN_DATA, substream
 
-from conftest import replay_rounds
+from conftest import grad_blocks, replay_rounds
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -135,8 +135,8 @@ def test_criterion_01_gradient_correctness():
             logscale_damp=1.0,
         )
         params = init_params(arch, r)
-        for block in params.all_blocks():
-            block.value.array[...] = r.uniform(-0.5, 0.5, block.shape)
+        for block in params.blocks.values():
+            block[...] = r.uniform(-0.5, 0.5, block.shape)
         x = r.uniform(-1, 1, (batch, d_in))
         y = r.integers(0, num_classes, batch)
         noise = r.standard_normal(arch.beta_dim)
@@ -146,11 +146,11 @@ def test_criterion_01_gradient_correctness():
             loss, _ = minibatch_loss(params, x, y, tau, noise)
             return loss
 
-        grads = nn.backward(build())
-        fd = nn.finite_diff_grad(lambda: build().item(), params.all_blocks(), eps=1e-5)
-        for block in params.all_blocks():
-            exact = grads[block.name].ravel()
-            approx = fd[block.name].ravel()
+        grads = grad_blocks(params, build())
+        fd = nn.finite_diff_grad(lambda: build().item(), params.blocks, eps=1e-5)
+        for name in params.blocks:
+            exact = grads[name].ravel()
+            approx = fd[name].ravel()
             mask = np.abs(exact) > 1e-8
             checked += int(mask.sum())
             if mask.any():
@@ -338,7 +338,7 @@ def test_criterion_05_label_free_support():
         stream = [substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id)]
         u2 = client_update(params, [garbled], cfg, stream).updates[0]
         bitwise_ok &= u1.loss_sum == u2.loss_sum
-        bitwise_ok &= all(np.array_equal(u1.delta[k], u2.delta[k]) for k in u1.delta)
+        bitwise_ok &= np.array_equal(u1.delta, u2.delta)
 
         # evaluation: garble the support half of every test batch
         eval_clients = []
@@ -394,17 +394,13 @@ def test_criterion_06_fedavg_equivalence():
             ).updates[0]
             for cid in sorted(cohort)
         ]
-        start = {b.name: b.value.array.copy() for b in state.params.all_blocks()}
-        finals = [
-            {name: start[name] - u.delta[name] for name in start} for u in updates
-        ]
+        start = state.params.flat.copy()
+        finals = [start - u.delta for u in updates]
         weights = [u.weight for u in updates]
         server_apply(state, [u.delta for u in updates], weights, cfg)
         wsum = sum(weights)
-        for name in start:
-            want = sum(w * f[name] for w, f in zip(weights, finals)) / wsum
-            got = state.params.block(name).value.array
-            worst = max(worst, float(np.max(np.abs(got - want))))
+        want = sum(w * f for w, f in zip(weights, finals)) / wsum
+        worst = max(worst, float(np.max(np.abs(state.params.flat - want))))
     ok = worst < 1e-12
     report(
         "06 plain-averaging equivalence",
@@ -647,9 +643,8 @@ seed = 10
     lockstep = run_training(cfg.train, cfg.arch, ds)
     ds2, _ = generate_hierarchical(cfg.gen)
     alone_state, alone_losses = replay_rounds(cfg.train, cfg.arch, ds2)
-    lockstep_same = all(
-        np.array_equal(a.value.array, b.value.array)
-        for a, b in zip(lockstep.state.params.all_blocks(), alone_state.params.all_blocks())
+    lockstep_same = np.array_equal(
+        lockstep.state.params.flat, alone_state.params.flat
     ) and [r.loss_sum for r in lockstep.reports] == alone_losses
     ok = byte_identical and lockstep_same
     report(

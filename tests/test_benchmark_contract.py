@@ -2,9 +2,11 @@
 
 ``benchmarks/tracing.py`` wraps fedvi functions by name and calls its flop
 model ``estimate_slack_flop(*args, **kwargs)`` with the arguments of each
-``estimate_slack`` call. A rename, a removal or a signature change in
-``src/`` that breaks either would otherwise show only in a traced benchmark
-run. The tracer is loaded from its file, read-only.
+``estimate_slack`` call, and ``benchmarks/workloads.py`` marks a traced run
+incorrect when a spanned function its workload uses is never called (such as
+``nn.backward`` in training) or one it bypasses is. A rename, a removal or a
+signature change in ``src/`` that breaks any of these would otherwise show
+only in a traced benchmark run. Both files are loaded read-only.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from fedvi import bounds
+from fedvi import bounds, cli
 from fedvi.bounds import generator_prior, synthetic_task
+from fedvi.config import parse_config
 from fedvi.datagen import GenConfig
 from fedvi.seeding import substream
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "tracing.py"
 
 
 @pytest.fixture
@@ -30,6 +34,17 @@ def tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        for name in ("workloads", "tracing"):
+            sys.modules.pop(name, None)
 
 
 def spanned_functions(tracing) -> dict[str, object]:
@@ -65,3 +80,22 @@ def test_estimate_slack_arguments_bind_to_the_flop_model(tracing):
     flop = inspect.signature(tracing.estimate_slack_flop)
     flop.bind(*names)
     flop.bind(**dict.fromkeys(names))
+
+
+@pytest.mark.parametrize(
+    "workload, config", [("hetero-fedvi", "heterogeneous.cfg"), ("bound-audit", "bound.cfg")]
+)
+def test_traced_workload_passes_its_self_test(workloads, workload, config, tmp_path):
+    overrides = {("train", "rounds"): 10, ("bound", "trials"): 2}
+    cfg = parse_config(ROOT / "configs" / config, overrides)
+    tracer = workloads.Tracer()
+    tracer.install()
+    try:
+        assert cli.cmd_train(cfg, str(tmp_path)) == cli.EXIT_OK
+        if workload == "bound-audit":
+            with tracer.operation("job"):
+                code = cli.cmd_bound(cfg, str(tmp_path / "params.bin"), str(tmp_path), True)
+            assert code == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    assert workloads.self_test(tracer, workload) == []

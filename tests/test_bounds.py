@@ -375,7 +375,7 @@ class TestBoundHoldsCheck:
         # exactly 0 under every posterior draw, while the generator gives the
         # class positive probability: a log of the mean softmax is -inf there.
         task, params = self._trained()
-        params.theta_cls[-1].value.array[..., 0] = -2000.0
+        params.theta_cls[-1][..., 0] = -2000.0
         draws = 4
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=draws)
         res = bound_holds_check(task, params, pb, 1, substream(4, 3), slack=5.0)

@@ -189,9 +189,30 @@ class TestParamsFile:
         save_params(params, path)
         loaded = load_params(path)
         assert loaded.arch == params.arch
-        for a, b in zip(params.all_blocks(), loaded.all_blocks()):
-            assert a.name == b.name
-            assert np.array_equal(a.value.array, b.value.array)
+        for (name_a, a), (name_b, b) in zip(params.blocks.items(), loaded.blocks.items()):
+            assert name_a == name_b
+            assert np.array_equal(a, b)
+
+    def test_block_bytes_are_the_flat_vector_in_order(self, tmp_path, rng):
+        params = init_params(small_arch(), rng)
+        path = tmp_path / "p.bin"
+        save_params(params, path)
+        blob = path.read_bytes()
+        (arch_len,) = struct.unpack("<I", blob[8:12])
+        pos = 12 + arch_len + 4
+        data = []
+        for name, block in params.blocks.items():
+            (name_len,) = struct.unpack("<I", blob[pos : pos + 4])
+            assert blob[pos + 4 : pos + 4 + name_len].decode("utf-8") == name
+            pos += 4 + name_len
+            (ndim,) = struct.unpack("<I", blob[pos : pos + 4])
+            pos += 4 + 8 * ndim
+            data.append(blob[pos : pos + 8 * block.size])
+            pos += 8 * block.size
+        assert pos == len(blob)
+        assert b"".join(data) == params.flat.astype("<f8").tobytes()
+        loaded = load_params(path)
+        assert loaded.flat.flags.writeable and np.array_equal(loaded.flat, params.flat)
 
     def test_truncation_detected(self, tmp_path, rng):
         params = init_params(small_arch(), rng)
@@ -236,8 +257,8 @@ class TestParamsFile:
         self._with_dropout_header(path, 0.0)
         loaded = load_params(path)
         assert loaded.arch == params.arch
-        for a, b in zip(params.all_blocks(), loaded.all_blocks()):
-            assert np.array_equal(a.value.array, b.value.array)
+        for a, b in zip(params.blocks.values(), loaded.blocks.values()):
+            assert np.array_equal(a, b)
 
     def test_old_header_with_nonzero_dropout_rejected(self, tmp_path, rng):
         path = tmp_path / "p.bin"
@@ -574,11 +595,11 @@ class TestExitCodes:
 
         def server_apply(state, deltas, weights, cfg):
             if state.round_index == 1:
-                deltas = [{k: np.full_like(d, np.nan) for k, d in dl.items()} for dl in deltas]
+                deltas = [np.full_like(d, np.nan) for d in deltas]
             return original(state, deltas, weights, cfg)
 
         def evaluate(params, clients, cfg):
-            params.theta_post[-1].value.array[...] = np.nan
+            params.theta_post[-1][...] = np.nan
             return original(params, clients, cfg)
 
         wrappers = {"server_apply": server_apply, "evaluate": evaluate}
@@ -617,7 +638,7 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
         params = load_params(out / "params.bin")
-        params.theta_cls[-2].value.array[...] *= 1e308
+        params.theta_cls[-2][...] *= 1e308
         save_params(params, out / "huge.bin")
         args = ["bound", "--config", cfg, "--out", str(out), "--params", str(out / "huge.bin")]
         assert main(args) == cli.EXIT_NUMERIC

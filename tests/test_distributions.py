@@ -19,7 +19,6 @@ from fedvi.distributions import (
     sample_reparam_grad,
     standard_prior,
 )
-from fedvi.nn import ParamBlock
 from fedvi.seeding import substream
 
 from conftest import max_rel_err
@@ -112,15 +111,17 @@ class TestKlDiag:
             assert abs(kl_diag(q, p).item() - est) < 5 * se
 
     def test_gradient_matches_finite_differences(self, rng):
-        mean = ParamBlock("mean", rng.uniform(-1, 1, 4))
-        scale = ParamBlock("scale", rng.uniform(0.3, 1.2, 4))
+        mean = rng.uniform(-1, 1, 4)
+        scale = rng.uniform(0.3, 1.2, 4)
         prior = DiagGaussian.from_arrays(rng.uniform(-0.5, 0.5, 4), rng.uniform(0.5, 1.0, 4))
 
         def q():
-            return DiagGaussian(mean.value.array, scale.value.array)
+            return DiagGaussian(mean, scale)
 
         d_mean, d_scale = kl_diag_grad(q(), prior)
-        fd = nn.finite_diff_grad(lambda: float(kl_diag(q(), prior)), [mean, scale], eps=1e-6)
+        fd = nn.finite_diff_grad(
+            lambda: float(kl_diag(q(), prior)), {"mean": mean, "scale": scale}, eps=1e-6
+        )
         assert max_rel_err(fd["mean"], d_mean) < 1e-6
         assert max_rel_err(fd["scale"], d_scale) < 1e-6
 
@@ -149,19 +150,19 @@ class TestSampleReparam:
             sample_reparam(standard_prior(3, 1.0), np.zeros(4))
 
     def test_gradients_flow_through_mean_and_scale(self, rng):
-        mean = ParamBlock("m", rng.uniform(-1, 1, 3))
-        scale = ParamBlock("s", rng.uniform(0.5, 1.5, 3))
+        mean = rng.uniform(-1, 1, 3)
+        scale = rng.uniform(0.5, 1.5, 3)
         noise = rng.standard_normal(3)
         upstream = rng.uniform(-1, 1, 3)
 
         def pulled():
-            q = DiagGaussian(mean.value.array, scale.value.array)
+            q = DiagGaussian(mean, scale)
             return float(upstream @ sample_reparam(q, noise))
 
         d_mean, d_scale = sample_reparam_grad(noise, upstream)
         assert np.array_equal(d_mean, upstream)
         assert np.array_equal(d_scale, upstream * noise)
-        fd = nn.finite_diff_grad(pulled, [mean, scale], eps=1e-6)
+        fd = nn.finite_diff_grad(pulled, {"m": mean, "s": scale}, eps=1e-6)
         assert max_rel_err(fd["m"], d_mean) < 1e-8
         assert max_rel_err(fd["s"], d_scale) < 1e-8
 

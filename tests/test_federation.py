@@ -20,6 +20,7 @@ from fedvi.federation import (
 )
 from fedvi.model import (
     ArchConfig,
+    FedVIParams,
     forward_batch,
     global_branch_logits,
     init_params,
@@ -96,7 +97,7 @@ class TestClientUpdate:
             params, ds.clients[2], make_cfg(client_lr=0.0), substream(1, 0)
         )
         assert update is not None
-        assert all(np.array_equal(d, np.zeros_like(d)) for d in update.delta.values())
+        assert np.array_equal(update.delta, np.zeros_like(update.delta))
         assert update.weight == ds.clients[2].n_train
 
     def test_single_step_matches_analytic_gradient(self):
@@ -116,10 +117,10 @@ class TestClientUpdate:
         stream = substream(cfg.seed, DOMAIN_CLIENT, 1, 0)
         perm = substream(cfg.seed, DOMAIN_CLIENT, 1, 0).permutation(6)
 
-        w1 = params.theta_embed[0].value.array.copy()
-        b1 = params.theta_embed[1].value.array.copy()
-        wc = params.theta_cls[0].value.array.copy()
-        bc = params.theta_cls[1].value.array.copy()
+        w1 = params.theta_embed[0].copy()
+        b1 = params.theta_embed[1].copy()
+        wc = params.theta_cls[0].copy()
+        bc = params.theta_cls[1].copy()
         xb, yb = x[perm], y[perm]
         rep = xb @ w1 + b1
         logits = rep[:, :3] @ wc + bc
@@ -134,9 +135,9 @@ class TestClientUpdate:
             "embed.0.b": d_rep.sum(axis=0),
         }
 
-        update = update_alone(params, client, cfg, stream)
+        delta = FedVIParams(update_alone(params, client, cfg, stream).delta, arch).blocks
         for name, g in grads.items():
-            assert np.max(np.abs(update.delta[name] - cfg.client_lr * g)) < 1e-10
+            assert np.max(np.abs(delta[name] - cfg.client_lr * g)) < 1e-10
 
     def test_same_stream_same_delta(self, rng):
         ds = make_ds()
@@ -144,8 +145,28 @@ class TestClientUpdate:
         cfg = make_cfg()
         u1 = update_alone(params, ds.clients[3], cfg, substream(9, 4))
         u2 = update_alone(params, ds.clients[3], cfg, substream(9, 4))
-        assert all(np.array_equal(u1.delta[k], u2.delta[k]) for k in u1.delta)
+        assert np.array_equal(u1.delta, u2.delta)
         assert u1.loss_sum == u2.loss_sum
+
+    def test_fedavg_delta_is_zero_on_the_constructor(self, rng):
+        # fedavg's loss never reaches the posterior constructor: its gradient
+        # there is +0.0, so local SGD leaves those entries bit for bit alone
+        ds = make_ds()
+        params = init_params(small_arch(), rng)
+        update = update_alone(params, ds.clients[2], make_cfg(algorithm="fedavg"), rng)
+        delta = FedVIParams(update.delta, params.arch).blocks
+        for name, block in delta.items():
+            assert np.all(block == 0.0) == name.startswith("post."), name
+
+    def test_step_on_rows_writes_through_to_the_cohort(self, rng):
+        ds = make_ds()
+        cfg = make_cfg(batch_size=8)
+        cohort = init_params(small_arch(), rng).stacked(3)
+        before = cohort.flat.copy()
+        x, y, noise = next(federation.iter_local_batches(ds.clients[0], cfg, cohort.arch, rng))
+        federation._stacked_step(cohort.rows(slice(1, 2)), [(x, y, noise)], cfg)
+        assert np.array_equal(cohort.flat[[0, 2]], before[[0, 2]])
+        assert np.any(cohort.flat[1] != before[1])
 
     def test_degenerate_client_is_skipped(self, rng):
         params = init_params(small_arch(), rng)
@@ -156,10 +177,9 @@ class TestClientUpdate:
     def test_statelessness_copies_globals(self, rng):
         ds = make_ds()
         params = init_params(small_arch(), rng)
-        before = {b.name: b.value.array.copy() for b in params.all_blocks()}
+        before = params.flat.copy()
         client_update(params, [ds.clients[2]], make_cfg(), [substream(2, 2)])
-        for b in params.all_blocks():
-            assert np.array_equal(b.value.array, before[b.name])
+        assert np.array_equal(params.flat, before)
 
 
 class TestServerApply:
@@ -168,41 +188,33 @@ class TestServerApply:
         cfg = make_cfg(server_lr=1.0, server_momentum=0.0)
         state = init_server(small_arch(), cfg.seed)
         update = update_alone(state.params, ds.clients[2], cfg, substream(3, 1))
-        finals = {
-            name: state.params.block(name).value.array - delta
-            for name, delta in update.delta.items()
-        }
+        final = state.params.flat - update.delta
         server_apply(state, [update.delta], [update.weight], cfg)
-        for name, final in finals.items():
-            assert np.max(np.abs(state.params.block(name).value.array - final)) < 1e-12
+        assert np.max(np.abs(state.params.flat - final)) < 1e-12
 
     def test_weighted_mean_of_two_deltas(self, rng):
         cfg = make_cfg(server_lr=1.0, server_momentum=0.0)
         state = init_server(small_arch(), cfg.seed)
-        names = [b.name for b in state.params.all_blocks()]
-        d1 = {n: np.full(state.params.block(n).shape, 1.0) for n in names}
-        d2 = {n: np.full(state.params.block(n).shape, 5.0) for n in names}
-        before = {n: state.params.block(n).value.array.copy() for n in names}
+        d1 = np.full(state.params.flat.shape, 1.0)
+        d2 = np.full(state.params.flat.shape, 5.0)
+        before = state.params.flat.copy()
         server_apply(state, [d1, d2], [1, 3], cfg)
-        for n in names:
-            moved = before[n] - state.params.block(n).value.array
-            assert np.max(np.abs(moved - 4.0)) < 1e-12  # (1*1 + 3*5) / 4
+        moved = before - state.params.flat
+        assert np.max(np.abs(moved - 4.0)) < 1e-12  # (1*1 + 3*5) / 4
 
     def test_momentum_decay_follows_geometric_series(self, rng):
         cfg = make_cfg(server_lr=0.7, server_momentum=0.9)
         state = init_server(small_arch(), cfg.seed)
-        names = [b.name for b in state.params.all_blocks()]
-        start = {n: state.params.block(n).value.array.copy() for n in names}
-        g = {n: np.full(state.params.block(n).shape, 2.0) for n in names}
-        zero = {n: np.zeros(state.params.block(n).shape) for n in names}
+        start = state.params.flat.copy()
+        g = np.full(start.shape, 2.0)
+        zero = np.zeros(start.shape)
         server_apply(state, [g], [1], cfg)
         for _ in range(10):
             server_apply(state, [zero], [1], cfg)
         # displacement = lr * g * sum_{i=0..10} m^i
         factor = 0.7 * 2.0 * (1 - 0.9**11) / (1 - 0.9)
-        for n in names:
-            moved = start[n] - state.params.block(n).value.array
-            assert np.max(np.abs(moved - factor)) < 1e-10
+        moved = start - state.params.flat
+        assert np.max(np.abs(moved - factor)) < 1e-10
         assert state.round_index == 11
 
     def test_fedavg_equivalence_weighted_mean_of_finals(self):
@@ -212,20 +224,25 @@ class TestServerApply:
             rng = substream(600, trial)
             cfg = make_cfg(server_lr=1.0, server_momentum=0.0)
             state = init_server(small_arch(), int(rng.integers(0, 1 << 31)))
-            names = [b.name for b in state.params.all_blocks()]
-            start = {n: state.params.block(n).value.array.copy() for n in names}
+            start = state.params.flat.copy()
             m = int(rng.integers(2, 6))
-            finals = [
-                {n: start[n] + rng.standard_normal(start[n].shape) for n in names}
-                for _ in range(m)
-            ]
+            finals = [start + rng.standard_normal(start.shape) for _ in range(m)]
             weights = [int(w) for w in rng.integers(1, 50, m)]
-            deltas = [{n: start[n] - f[n] for n in names} for f in finals]
+            deltas = [start - f for f in finals]
             server_apply(state, deltas, weights, cfg)
             wsum = sum(weights)
-            for n in names:
-                want = sum(w * f[n] for w, f in zip(weights, finals)) / wsum
-                assert np.max(np.abs(state.params.block(n).value.array - want)) < 1e-12
+            want = sum(w * f for w, f in zip(weights, finals)) / wsum
+            assert np.max(np.abs(state.params.flat - want)) < 1e-12
+
+    def test_non_finite_update_names_its_block(self):
+        cfg = make_cfg()
+        state = init_server(small_arch(), cfg.seed)
+        deltas = [np.zeros(state.params.flat.shape) for _ in range(2)]
+        FedVIParams(deltas[1], state.params.arch).blocks["post.1.b"][3] = np.nan
+        with pytest.raises(
+            nn.NonFiniteError, match=r"^server parameter 'post.1.b' contains non-finite entries$"
+        ):
+            server_apply(state, deltas, [1, 2], cfg)
 
     def test_empty_cohort_rejected(self, rng):
         cfg = make_cfg()
@@ -237,14 +254,14 @@ class TestServerApply:
 def rigged_params(arch: ArchConfig):
     """Embedding = identity, classifier reads the first features directly."""
     params = init_params(arch, substream(1, 1))
-    params.theta_embed[0].value.array[...] = np.eye(arch.input_dim)
-    params.theta_embed[1].value.array[...] = 0.0
-    params.theta_cls[0].value.array[...] = np.eye(arch.num_classes, arch.num_classes)[
+    params.theta_embed[0][...] = np.eye(arch.input_dim)
+    params.theta_embed[1][...] = 0.0
+    params.theta_cls[0][...] = np.eye(arch.num_classes, arch.num_classes)[
         : arch.global_dim
     ]
-    params.theta_cls[1].value.array[...] = 0.0
+    params.theta_cls[1][...] = 0.0
     for block in params.theta_post:
-        block.value.array[...] = 0.0
+        block[...] = 0.0
     return params
 
 
@@ -337,8 +354,7 @@ class TestRunTraining:
         assert [r.cohort for r in r1.reports] == [r.cohort for r in r2.reports]
         assert [r.loss_sum for r in r1.reports] == [r.loss_sum for r in r2.reports]
         assert [r.part_acc for r in r1.reports] == [r.part_acc for r in r2.reports]
-        for b1, b2 in zip(r1.state.params.all_blocks(), r2.state.params.all_blocks()):
-            assert np.array_equal(b1.value.array, b2.value.array)
+        assert np.array_equal(r1.state.params.flat, r2.state.params.flat)
 
     def test_parallel_equals_sequential(self):
         # run_training trains each cohort in lockstep; a replay that trains
@@ -348,8 +364,7 @@ class TestRunTraining:
         seq_state, seq_losses = replay_rounds(cfg, small_arch(), ds)
         par = run_training(cfg, small_arch(), ds)
         assert seq_losses == [r.loss_sum for r in par.reports]
-        for b1, b2 in zip(seq_state.params.all_blocks(), par.state.params.all_blocks()):
-            assert np.array_equal(b1.value.array, b2.value.array)
+        assert np.array_equal(seq_state.params.flat, par.state.params.flat)
 
     def test_holdout_clients_never_train(self):
         ds = make_ds(c=10, holdout=3)
@@ -452,10 +467,9 @@ class TestLockstepCohort:
             assert (got.mean_loss, got.loss_sum, got.nll_sum, got.reg_sum, got.kl_raw_sum) == (
                 want.mean_loss, want.loss_sum, want.nll_sum, want.reg_sum, want.kl_raw_sum
             )
-            assert got.delta.keys() == want.delta.keys()
-            for name in want.delta:
-                assert np.array_equal(got.delta[name], want.delta[name]), name
-            assert any(np.any(d != 0.0) for d in got.delta.values())
+            assert got.delta.shape == want.delta.shape
+            assert np.array_equal(got.delta, want.delta)
+            assert np.any(got.delta != 0.0)
 
     @pytest.mark.parametrize(
         "algorithm, local_epochs",

@@ -7,9 +7,11 @@ from fedvi import nn
 from fedvi.distributions import glorot_scale
 from fedvi.model import (
     ArchConfig,
+    FedVIParams,
     _posterior_backward,
     construct_posterior,
     embed,
+    block_shapes,
     forward_batch,
     global_branch_logits,
     global_branch_loss,
@@ -21,15 +23,13 @@ from fedvi.model import (
 )
 from fedvi.seeding import substream
 
-from fedvi.nn import ParamBlock
-
-from conftest import max_rel_err, small_arch
+from conftest import grad_blocks, max_rel_err, small_arch
 
 
 def zero_params(arch: ArchConfig):
     params = init_params(arch, substream(0, 0))
     for block in params.theta_post:
-        block.value.array[...] = 0.0
+        block[...] = 0.0
     return params
 
 
@@ -37,15 +37,15 @@ class TestEmbed:
     def test_zero_parameters_give_zero_representation(self, rng):
         params = init_params(small_arch(), rng)
         for block in params.theta_embed:
-            block.value.array[...] = 0.0
+            block[...] = 0.0
         out = embed(params, rng.standard_normal((4, 5)))
         assert np.array_equal(out, np.zeros((4, 6)))
 
     def test_identity_single_layer(self, rng):
         arch = small_arch(input_dim=6, embed_widths=(6,), local_dim=2, global_dim=4)
         params = init_params(arch, rng)
-        params.theta_embed[0].value.array[...] = np.eye(6)
-        params.theta_embed[1].value.array[...] = 0.0
+        params.theta_embed[0][...] = np.eye(6)
+        params.theta_embed[1][...] = 0.0
         x = rng.standard_normal((3, 6))
         assert np.array_equal(embed(params, x), x)
 
@@ -54,7 +54,7 @@ class TestEmbed:
         params = init_params(arch, rng)
         x = rng.standard_normal((4, 5))
         out = embed(params, x)
-        w0, b0, w1, b1 = (b.value.array for b in params.theta_embed)
+        w0, b0, w1, b1 = params.theta_embed
         manual = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
         assert np.max(np.abs(out - manual)) < 1e-12
 
@@ -145,7 +145,7 @@ class TestConstructPosterior:
         arch = small_arch(scale_floor=1e-3)
         params = init_params(arch, rng)
         # drive the log-scale head hard negative
-        params.theta_post[-1].value.array[...] = -50.0
+        params.theta_post[-1][...] = -50.0
         support = rng.standard_normal((4, arch.global_dim))
         stats = construct_posterior(params, support)
         assert np.all(stats.q.scale >= arch.scale_floor)
@@ -155,25 +155,27 @@ class TestConstructPosterior:
         arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
         params = init_params(arch, rng)
         for block in params.theta_post:
-            block.value.array[...] = rng.uniform(-0.5, 0.5, block.shape)
-        support = ParamBlock("support", rng.standard_normal((4, arch.global_dim)))
+            block[...] = rng.uniform(-0.5, 0.5, block.shape)
+        support = rng.standard_normal((4, arch.global_dim))
 
         def total():
-            stats = construct_posterior(params, support.value.array)
+            stats = construct_posterior(params, support)
             return float(stats.q.mean.sum() + stats.q.scale.sum() + stats.b_beta.sum())
 
         acts: list[np.ndarray] = []
-        stats = construct_posterior(params, support.value.array, acts)
-        grads: dict[str, np.ndarray] = {}
+        stats = construct_posterior(params, support, acts)
+        out = FedVIParams(np.full(arch.num_params, np.nan), arch)
         d_support = _posterior_backward(
             params, stats, acts, np.ones(arch.beta_dim), np.ones(arch.beta_dim),
-            np.ones(arch.num_classes), grads,
+            np.ones(arch.num_classes), out.theta_post,
         )
-        assert sorted(grads) == sorted(b.name for b in params.theta_post)
-        fd = nn.finite_diff_grad(total, [*params.theta_post, support], eps=1e-6)
-        for block in params.theta_post:
-            err = max_rel_err(fd[block.name], grads[block.name])
-            assert err < 1e-6, f"{block.name}: rel err {err}"
+        grads = {name: g for name, g in out.blocks.items() if not np.isnan(g).any()}
+        post = {name: b for name, b in params.blocks.items() if name.startswith("post.")}
+        assert sorted(grads) == sorted(post)
+        fd = nn.finite_diff_grad(total, {**post, "support": support}, eps=1e-6)
+        for name in post:
+            err = max_rel_err(fd[name], grads[name])
+            assert err < 1e-6, f"{name}: rel err {err}"
         assert max_rel_err(fd["support"], d_support) < 1e-6
 
     def test_segments_equal_their_rows_alone(self):
@@ -213,16 +215,16 @@ class TestPredictLogits:
             q_local,
         )
         expected = (
-            q_global @ tiny_params.theta_cls[0].value.array
-            + tiny_params.theta_cls[1].value.array
+            q_global @ tiny_params.theta_cls[0]
+            + tiny_params.theta_cls[1]
         )
         assert np.max(np.abs(logits - expected)) < 1e-15
 
     def test_zero_global_branch_reduces_to_local(self, rng):
         arch = small_arch()
         params = init_params(arch, rng)
-        params.theta_cls[0].value.array[...] = 0.0
-        params.theta_cls[1].value.array[...] = 0.0
+        params.theta_cls[0][...] = 0.0
+        params.theta_cls[1][...] = 0.0
         beta = rng.standard_normal(arch.beta_dim)
         b_beta = rng.standard_normal(arch.num_classes)
         q_local = rng.standard_normal((3, arch.local_dim))
@@ -239,8 +241,8 @@ class TestPredictLogits:
         q_global = rng.standard_normal((3, arch.global_dim))
         q_local = rng.standard_normal((3, arch.local_dim))
         logits = predict_logits(tiny_params, beta, b_beta, q_global, q_local)
-        w_cls = tiny_params.theta_cls[0].value.array
-        b_cls = tiny_params.theta_cls[1].value.array
+        w_cls = tiny_params.theta_cls[0]
+        b_cls = tiny_params.theta_cls[1]
         local_mat = beta.reshape(arch.num_classes, arch.local_dim)
         for i in range(3):
             for cls in range(arch.num_classes):
@@ -314,19 +316,19 @@ class TestMinibatchLoss:
         rng = substream(2024, 0)
         arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
         params = init_params(arch, rng)
-        for block in params.all_blocks():
-            block.value.array[...] = rng.uniform(-0.5, 0.5, block.shape)
+        for block in params.blocks.values():
+            block[...] = rng.uniform(-0.5, 0.5, block.shape)
         x, y, noise = batch_for(arch, rng)
 
         def build():
             loss, _ = minibatch_loss(params, x, y, 0.5, noise)
             return loss
 
-        grads = nn.backward(build())
-        fd = nn.finite_diff_grad(lambda: build().item(), params.all_blocks(), eps=1e-5)
-        for block in params.all_blocks():
-            err = max_rel_err(fd[block.name], grads[block.name])
-            assert err < 1e-4, f"{block.name}: rel err {err}"
+        grads = grad_blocks(params, build())
+        fd = nn.finite_diff_grad(lambda: build().item(), params.blocks, eps=1e-5)
+        for name in params.blocks:
+            err = max_rel_err(fd[name], grads[name])
+            assert err < 1e-4, f"{name}: rel err {err}"
 
     def test_support_labels_are_never_read(self, tiny_params, rng):
         x, y, noise = batch_for(tiny_params.arch, rng)
@@ -380,15 +382,15 @@ def randomized_params(arch: ArchConfig, rng):
     # O(1) parameters keep every gradient coordinate well above
     # finite-difference roundoff
     params = init_params(arch, rng)
-    for block in params.all_blocks():
-        block.value.array[...] = rng.uniform(-0.5, 0.5, block.shape)
+    for block in params.blocks.values():
+        block[...] = rng.uniform(-0.5, 0.5, block.shape)
     return params
 
 
 def fd_errors(params, build) -> tuple[dict, dict[str, float]]:
     """The fused loss's gradients and their rel errors against finite differences."""
-    grads = {k: g.copy() for k, g in nn.backward(build()).items()}
-    fd = nn.finite_diff_grad(lambda: build().item(), params.all_blocks(), eps=1e-5)
+    grads = grad_blocks(params, build())
+    fd = nn.finite_diff_grad(lambda: build().item(), params.blocks, eps=1e-5)
     errs = {
         name: max_rel_err(fd[name], g) for name, g in grads.items()
     }
@@ -404,7 +406,7 @@ class TestHandDerivedBackwardEdges:
         x, y, noise = batch_for(arch, rng, batch=batch)
         assert split_support_query(batch, arch.support_fraction)[0].size == 1
         grads, errs = fd_errors(params, lambda: minibatch_loss(params, x, y, 0.5, noise)[0])
-        assert len(grads) == len(params.all_blocks())
+        assert len(grads) == len(params.blocks)
         assert max(errs.values()) < 1e-4, errs
 
     def test_zero_tau_leaves_out_the_kl_gradient(self):
@@ -416,7 +418,7 @@ class TestHandDerivedBackwardEdges:
         assert max(errs.values()) < 1e-4, errs
         # tau = 0 is exactly the query NLL, so its gradient differs from a
         # small positive tau's only through the KL term
-        with_kl = nn.backward(minibatch_loss(params, x, y, 1e-3, noise)[0])
+        with_kl = grad_blocks(params, minibatch_loss(params, x, y, 1e-3, noise)[0])
         assert any(not np.array_equal(grads[k], with_kl[k]) for k in grads)
 
     def test_backward_results_are_not_aliased(self):
@@ -429,7 +431,7 @@ class TestHandDerivedBackwardEdges:
         second = nn.backward(minibatch_loss(params, x, y, 0.5, noise)[0])
         assert all(np.array_equal(first[k], kept[k]) for k in kept)
         assert any(not np.array_equal(first[k], second[k]) for k in kept)
-        assert set(second) == {b.name for b in params.all_blocks()}
+        assert set(second) == {"theta"}
 
     def test_scale_pinned_at_floor(self):
         rng = substream(2025, 11)
@@ -437,8 +439,8 @@ class TestHandDerivedBackwardEdges:
         params = randomized_params(arch, rng)
         m = arch.beta_dim
         # log-scale outputs of -100 whatever the support: sigma = floor exactly
-        params.theta_post[-2].value.array[:, m : 2 * m] = 0.0
-        params.theta_post[-1].value.array[m : 2 * m] = -100.0
+        params.theta_post[-2][:, m : 2 * m] = 0.0
+        params.theta_post[-1][m : 2 * m] = -100.0
         x, y, noise = batch_for(arch, rng)
         stats = forward_batch(params, x).stats
         assert np.all(stats.q.scale == arch.scale_floor)
@@ -457,7 +459,8 @@ class TestHandDerivedBackwardEdges:
         assert loss.item() == parts.nll == nll
         assert parts.kl == 0.0 and parts.kl_weight == 0.0
         grads, errs = fd_errors(params, lambda: global_branch_loss(params, x, y)[0])
-        assert sorted(grads) == sorted(b.name for b in [*params.theta_embed, *params.theta_cls])
+        reached = [name for name, g in grads.items() if g.any()]
+        assert sorted(reached) == sorted(n for n in params.blocks if not n.startswith("post."))
         assert max(errs.values()) < 1e-4, errs
 
 
@@ -465,14 +468,46 @@ class TestGlobalBranch:
     def test_uses_only_global_features(self, rng):
         arch = small_arch(input_dim=6, embed_widths=(6,), local_dim=2, global_dim=4)
         params = init_params(arch, rng)
-        params.theta_embed[0].value.array[...] = np.eye(6)
-        params.theta_embed[1].value.array[...] = 0.0
+        params.theta_embed[0][...] = np.eye(6)
+        params.theta_embed[1][...] = 0.0
         x = rng.standard_normal((3, 6))
         logits = global_branch_logits(params, x)
         expected = (
-            x[:, :4] @ params.theta_cls[0].value.array + params.theta_cls[1].value.array
+            x[:, :4] @ params.theta_cls[0] + params.theta_cls[1]
         )
         assert np.max(np.abs(logits - expected)) < 1e-14
+
+
+class TestFlatLayout:
+    def test_blocks_tile_the_vector_in_order(self, tiny_params):
+        params = tiny_params
+        shapes = block_shapes(params.arch)
+        assert list(params.blocks) == list(shapes)
+        assert [b.shape for b in params.blocks.values()] == list(shapes.values())
+        assert params.flat.shape == (params.arch.num_params,)
+        pieces = np.concatenate([b.ravel() for b in params.blocks.values()])
+        assert np.array_equal(pieces, params.flat)
+        thetas = params.theta_embed + params.theta_post + params.theta_cls
+        assert len(thetas) == len(params.blocks)
+        assert all(a is b for a, b in zip(thetas, params.blocks.values()))
+
+    @pytest.mark.parametrize("count", [None, 3])
+    def test_blocks_are_views(self, tiny_params, count):
+        params = tiny_params if count is None else tiny_params.stacked(count)
+        for name, block in params.blocks.items():
+            before = params.flat.copy()
+            block[...] = -7.0
+            changed = params.flat != before
+            assert changed.sum() == block.size and np.all(params.flat[changed] == -7.0), name
+
+    def test_stacked_rows_copy_the_vector(self, tiny_params):
+        stacked = tiny_params.stacked(3)
+        assert stacked.flat.shape == (3, tiny_params.arch.num_params)
+        assert all(np.array_equal(row, tiny_params.flat) for row in stacked.flat)
+        for name, block in stacked.blocks.items():
+            assert block.ndim == 3, name
+        stacked.rows(slice(1, 2)).flat[...] = 0.0
+        assert np.all(stacked.flat[1] == 0.0) and np.array_equal(stacked.flat[0], tiny_params.flat)
 
 
 class TestArchConfig:
@@ -499,10 +534,7 @@ class TestArchConfig:
 
 def client_row(stacked, row: int):
     """Row ``row`` of stacked parameters as one client's own parameters."""
-    alone = init_params(stacked.arch, substream(0, 0))
-    for block, src in zip(alone.all_blocks(), stacked.all_blocks()):
-        block.value.array[...] = src.value.array[row].reshape(block.shape)
-    return alone
+    return FedVIParams(stacked.flat[row].copy(), stacked.arch)
 
 
 class TestStackedBatches:
@@ -515,8 +547,8 @@ class TestStackedBatches:
         arch = small_arch()
         params = randomized_params(arch, rng)
         stacked = params.stacked(3)
-        for block in stacked.all_blocks():
-            block.value.array[...] += rng.uniform(-0.1, 0.1, block.shape)
+        for block in stacked.blocks.values():
+            block[...] += rng.uniform(-0.1, 0.1, block.shape)
         batches = [batch_for(arch, rng, batch=7) for _ in range(3)]
         x, y, noise = (np.stack(parts) for parts in zip(*batches))
         if loss_fn == "fedvi":

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvi import nn
-from fedvi.nn import ParamBlock, Tensor
+from fedvi.nn import Tensor
 from fedvi.seeding import substream
 
 from conftest import max_rel_err
@@ -124,40 +124,35 @@ class TestSoftmaxNll:
         assert abs(base - shifted) < 1e-10
 
     def test_gradient_matches_finite_differences(self, rng):
-        logits = ParamBlock("logits", rng.uniform(-3, 3, (5, 4)))
+        logits = rng.uniform(-3, 3, (5, 4))
         y = rng.integers(0, 4, 5)
-        _, grad = nn.softmax_nll(logits.value.array, y)
+        _, grad = nn.softmax_nll(logits, y)
         fd = nn.finite_diff_grad(
-            lambda: float(nn.softmax_nll(logits.value.array, y)[0]), [logits], eps=1e-5
+            lambda: float(nn.softmax_nll(logits, y)[0]), {"logits": logits}, eps=1e-5
         )
         assert max_rel_err(fd["logits"], grad) < 1e-6
-
-
-def _backward_into(blocks: list[ParamBlock], build) -> dict[str, np.ndarray]:
-    loss = build()
-    return nn.backward(loss)
 
 
 class TestBackward:
     def test_sum_of_dense_grad_has_outer_structure(self, rng):
         x = rng.uniform(-1, 1, (3, 4))
-        w = ParamBlock("W", rng.uniform(-1, 1, (4, 2)))
-        b = ParamBlock("b", np.zeros(2))
-        grads = nn.backward(nn.total(nn.dense_forward(Tensor.const(x), w.value, b.value)))
+        w = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True, name="W")
+        b = Tensor(np.zeros(2), requires_grad=True, name="b")
+        grads = nn.backward(nn.total(nn.dense_forward(Tensor.const(x), w, b)))
         # d/dW of sum(xW + b) is the column sums of x broadcast across outputs
         expected = np.repeat(x.sum(axis=0)[:, None], 2, axis=1)
         assert np.max(np.abs(grads["W"] - expected)) < 1e-12
         fd = nn.finite_diff_grad(
-            lambda: nn.dense_forward(Tensor.const(x), w.value, b.value).array.sum(),
-            [w],
+            lambda: nn.dense_forward(Tensor.const(x), w, b).array.sum(),
+            {"W": w.array},
             eps=1e-5,
         )
         assert max_rel_err(fd["W"], grads["W"]) < 1e-6
 
     def test_unused_parameter_gets_no_gradient(self, rng):
-        used = ParamBlock("used", rng.uniform(-1, 1, (2, 2)))
-        unused = ParamBlock("unused", rng.uniform(-1, 1, (2, 2)))
-        grads = nn.backward(nn.total(nn.relu(used.value)))
+        used = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True, name="used")
+        unused = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True, name="unused")
+        grads = nn.backward(nn.total(nn.relu(used)))
         assert unused.name not in grads and set(grads) == {used.name}
 
     def test_composite_matches_finite_differences(self, rng):
@@ -165,93 +160,95 @@ class TestBackward:
         # as a fused node on top
         x = rng.uniform(-1, 1, (3, 4))
         y = rng.integers(0, 2, 3)
-        w1 = ParamBlock("w1", rng.uniform(-1, 1, (4, 5)))
-        b1 = ParamBlock("b1", rng.uniform(-0.2, 0.2, 5))
-        w2 = ParamBlock("w2", rng.uniform(-1, 1, (5, 2)))
-        b2 = ParamBlock("b2", rng.uniform(-0.2, 0.2, 2))
+        w1 = Tensor(rng.uniform(-1, 1, (4, 5)), requires_grad=True, name="w1")
+        b1 = Tensor(rng.uniform(-0.2, 0.2, 5), requires_grad=True, name="b1")
+        w2 = Tensor(rng.uniform(-1, 1, (5, 2)), requires_grad=True, name="w2")
+        b2 = Tensor(rng.uniform(-0.2, 0.2, 2), requires_grad=True, name="b2")
         blocks = [w1, b1, w2, b2]
 
         def forward():
-            h = nn.relu(nn.dense_forward(Tensor.const(x), w1.value, b1.value))
-            logits = nn.dense_forward(h, w2.value, b2.value)
+            h = nn.relu(nn.dense_forward(Tensor.const(x), w1, b1))
+            logits = nn.dense_forward(h, w2, b2)
             nll, grad = nn.softmax_nll(logits.array, y)
             return nn.fused(nll, [logits], lambda g: [g * grad])
 
         grads = nn.backward(forward())
-        fd = nn.finite_diff_grad(lambda: forward().item(), blocks, eps=1e-5)
+        fd = nn.finite_diff_grad(
+            lambda: forward().item(), {b.name: b.array for b in blocks}, eps=1e-5
+        )
         for block in blocks:
             assert max_rel_err(fd[block.name], grads[block.name]) < 1e-5
 
     def test_fused_node_feeds_each_parent_its_gradient(self, rng):
-        a = ParamBlock("a", rng.uniform(-1, 1, (2, 3)))
-        b = ParamBlock("b", rng.uniform(-1, 1, 3))
-        value = float((a.value.array**2).sum() + np.sin(b.value.array).sum())
+        a = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True, name="a")
+        b = Tensor(rng.uniform(-1, 1, 3), requires_grad=True, name="b")
+        value = float((a.array**2).sum() + np.sin(b.array).sum())
 
         def grads(g):
-            return [g * 2.0 * a.value.array, g * np.cos(b.value.array)]
+            return [g * 2.0 * a.array, g * np.cos(b.array)]
 
-        out = nn.backward(nn.fused(value, [a.value, b.value], grads))
-        assert np.array_equal(out["a"], 2.0 * a.value.array)
-        assert np.array_equal(out["b"], np.cos(b.value.array))
+        out = nn.backward(nn.fused(value, [a, b], grads))
+        assert np.array_equal(out["a"], 2.0 * a.array)
+        assert np.array_equal(out["b"], np.cos(b.array))
         assert set(out) == {"a", "b"}
 
     def test_backward_twice_is_identical(self, rng):
-        w = ParamBlock("w", rng.uniform(-1, 1, (3, 3)))
-        loss = nn.total(nn.exp(w.value * 0.3))
+        w = Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True, name="w")
+        loss = nn.total(nn.exp(w * 0.3))
         first = {k: v.copy() for k, v in nn.backward(loss).items()}
         second = nn.backward(loss)
         assert np.array_equal(first["w"], second["w"])
 
     def test_non_scalar_root_rejected(self, rng):
-        w = ParamBlock("w", rng.uniform(-1, 1, (2, 2)))
+        w = Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True, name="w")
         with pytest.raises(nn.ShapeMismatchError):
-            nn.backward(nn.relu(w.value))
+            nn.backward(nn.relu(w))
 
 
 class TestFiniteDiff:
     def test_square_at_three(self):
-        p = ParamBlock("p", np.array([3.0]))
-        fd = nn.finite_diff_grad(lambda: float(p.value.array[0] ** 2), [p], eps=1e-4)
+        p = np.array([3.0])
+        fd = nn.finite_diff_grad(lambda: float(p[0] ** 2), {"p": p}, eps=1e-4)
         assert abs(fd["p"][0] - 6.0) < 1e-6
 
     def test_constant_function(self):
-        p = ParamBlock("p", np.array([1.0, -2.0, 0.5]))
-        fd = nn.finite_diff_grad(lambda: 42.0, [p], eps=1e-4)
+        p = np.array([1.0, -2.0, 0.5])
+        fd = nn.finite_diff_grad(lambda: 42.0, {"p": p}, eps=1e-4)
         assert np.array_equal(fd["p"], np.zeros(3))
 
     def test_eps_must_be_positive(self):
-        p = ParamBlock("p", np.array([1.0]))
+        p = np.array([1.0])
         with pytest.raises(ValueError):
-            nn.finite_diff_grad(lambda: 0.0, [p], eps=0.0)
+            nn.finite_diff_grad(lambda: 0.0, {"p": p}, eps=0.0)
 
 
 def _op_cases(rng):
-    a = ParamBlock("a", rng.uniform(-1, 1, (3, 4)))
-    b = ParamBlock("b", rng.uniform(-1, 1, (3, 4)))
-    m = ParamBlock("m", rng.uniform(-1, 1, (4, 2)))
-    pos = ParamBlock("pos", rng.uniform(0.2, 1.0, (3, 4)))
-    vec = ParamBlock("vec", rng.uniform(-1, 1, 4))
-    shifted = ParamBlock("shifted", rng.uniform(-1, 1, (3, 4)) + 2.0)
+    a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True, name="a")
+    b = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True, name="b")
+    m = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True, name="m")
+    pos = Tensor(rng.uniform(0.2, 1.0, (3, 4)), requires_grad=True, name="pos")
+    vec = Tensor(rng.uniform(-1, 1, 4), requires_grad=True, name="vec")
+    shifted = Tensor(rng.uniform(-1, 1, (3, 4)) + 2.0, requires_grad=True, name="shifted")
 
     def drop():
         # recreate the generator per call so the mask is frozen across
         # the finite-difference re-evaluations
-        return nn.dropout(a.value, 0.3, np.random.default_rng(7), training=True)
+        return nn.dropout(a, 0.3, np.random.default_rng(7), training=True)
 
     return [
-        ("add", [a, b], lambda: nn.total(a.value + b.value)),
-        ("add_broadcast", [a, vec], lambda: nn.total(a.value + vec.value)),
-        ("mul", [a, b], lambda: nn.total(a.value * b.value)),
-        ("neg", [a], lambda: nn.total(-a.value)),
-        ("matmul", [a, m], lambda: nn.total(nn.matmul(a.value, m.value))),
-        ("transpose", [a], lambda: nn.total(nn.transpose(a.value) * 0.5)),
-        ("reshape", [a], lambda: nn.total(nn.exp(nn.reshape(a.value, (4, 3))))),
-        ("narrow", [a], lambda: nn.total(nn.exp(nn.narrow(a.value, 1, 3)))),
-        ("row_slice", [a], lambda: nn.total(nn.exp(nn.row_slice(a.value, 1, 3)))),
-        ("relu", [shifted], lambda: nn.total(nn.relu(shifted.value))),
-        ("exp", [a], lambda: nn.total(nn.exp(a.value))),
-        ("log", [pos], lambda: nn.total(nn.log(pos.value))),
-        ("mean_rows", [a], lambda: nn.total(nn.exp(nn.mean_rows(a.value)))),
+        ("add", [a, b], lambda: nn.total(a + b)),
+        ("add_broadcast", [a, vec], lambda: nn.total(a + vec)),
+        ("mul", [a, b], lambda: nn.total(a * b)),
+        ("neg", [a], lambda: nn.total(-a)),
+        ("matmul", [a, m], lambda: nn.total(nn.matmul(a, m))),
+        ("transpose", [a], lambda: nn.total(nn.transpose(a) * 0.5)),
+        ("reshape", [a], lambda: nn.total(nn.exp(nn.reshape(a, (4, 3))))),
+        ("narrow", [a], lambda: nn.total(nn.exp(nn.narrow(a, 1, 3)))),
+        ("row_slice", [a], lambda: nn.total(nn.exp(nn.row_slice(a, 1, 3)))),
+        ("relu", [shifted], lambda: nn.total(nn.relu(shifted))),
+        ("exp", [a], lambda: nn.total(nn.exp(a))),
+        ("log", [pos], lambda: nn.total(nn.log(pos))),
+        ("mean_rows", [a], lambda: nn.total(nn.exp(nn.mean_rows(a)))),
         ("dropout", [a], lambda: nn.total(nn.exp(drop()))),
     ]
 
@@ -261,7 +258,7 @@ def test_published_op_gradients_match_finite_differences(case_index):
     rng = substream(777, case_index)
     name, blocks, build = _op_cases(rng)[case_index]
     grads = nn.backward(build())
-    fd = nn.finite_diff_grad(lambda: build().item(), blocks, eps=1e-5)
+    fd = nn.finite_diff_grad(lambda: build().item(), {b.name: b.array for b in blocks}, eps=1e-5)
     for block in blocks:
         err = max_rel_err(fd[block.name], grads.get(block.name, np.zeros(block.shape)))
         assert err < 1e-4, f"{name}/{block.name}: rel err {err}"
@@ -282,10 +279,6 @@ class TestTensorInvariants:
         t = Tensor.const(rng.uniform(-1, 1, (3, 5)))
         assert t.data.shape == (15,)
         assert int(np.prod(t.shape)) == t.data.size
-
-    def test_non_finite_rejected_in_params(self):
-        with pytest.raises(nn.NonFiniteError):
-            ParamBlock("bad", np.array([1.0, np.inf]))
 
     def test_published_ops_preserve_finiteness(self, rng):
         x = Tensor.const(rng.uniform(-1, 1, (4, 4)))
