@@ -72,10 +72,15 @@ def elbo_components(
 ) -> ElboReport:
     """Accumulate loss components over one round's cohort at fixed params.
 
-    Uses the same per-(round, client) streams as local training, so with a
-    zero client learning rate it reproduces the training loop's accumulated
-    loss bit-for-bit. The total is accumulated from the combined per-batch
-    losses, independently of the parts, making the identity a real check.
+    Uses the same per-(round, client) streams as local training and reads
+    them the same way (``local_draws``, through ``iter_local_batches``), so
+    it scores the batches and noise training scores, one unpadded batch at
+    a time. With a zero client learning rate it reproduces the training
+    loop's accumulated loss up to rounding, not bit for bit: training pads
+    each tail batch to ``batch_size``, and the padding regroups numpy's
+    pairwise sum over 8 or more query rows. The total is accumulated from
+    the combined per-batch losses, independently of the parts, making the
+    identity a real check.
     """
     if cfg.algorithm != "fedvi":
         raise ValueError("loss decomposition is defined for the fedvi objective")

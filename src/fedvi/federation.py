@@ -5,11 +5,14 @@ mini-batch gradient descent on copies of the server parameters, aggregate
 example-weighted pseudo-gradients (initial minus final), and apply them
 with server-side SGD momentum. Clients keep no state between rounds.
 
-The cohort trains in lockstep, one row of stacked parameters per client:
-at each local step, every run of adjacent rows whose batches have the same
-size takes one stacked step together. Each client's slice of a stacked
-step computes exactly what its step alone would, so a client's update does
-not depend on the rest of its cohort.
+The cohort trains in lockstep, one row of stacked parameters per client,
+rows sorted longest plan first: at each local step index of each epoch,
+the rows still training take one stacked step together at width
+``batch_size``, a tail batch padded to it. Each client's slice of a
+stacked step computes exactly what its step alone would at that width, so
+a client's update does not depend on the rest of its cohort. The padding
+costs a client with fewer training rows than ``batch_size`` a full batch's
+work a step; no shipped config has one.
 
 Every random draw comes from a counter-derived substream keyed by
 (seed, domain, round, client), so the whole run is a pure function of
@@ -37,6 +40,7 @@ from .model import (
     global_branch_loss,
     init_params,
     minibatch_loss,
+    padded_slots,
     predict_logits,
     split_features,
 )
@@ -149,28 +153,46 @@ def sample_cohort(participating_ids: list[int], m: int, rng: np.random.Generator
     return [participating_ids[i] for i in picks]
 
 
+def local_draws(
+    n: int, cfg: TrainConfig, arch: ArchConfig, rng: np.random.Generator
+) -> tuple[list[slice], np.ndarray, np.ndarray | None]:
+    """A client's random draws for one round of local training on ``n``
+    rows, in stream order: each epoch's permutation, then (fedvi) one
+    standard-normal noise vector per batch of the epoch, drawn as one
+    [batches x m] array (the same bits as one draw per batch).
+
+    Returns the batches (``ArchConfig.batch_slices`` of the permuted rows,
+    so both algorithms train on the same batches), the permutations
+    [epochs x n], and the noise [epochs x batches x m], or None for fedavg.
+    """
+    batches = arch.batch_slices(n, cfg.batch_size)
+    perms = np.empty((cfg.local_epochs, n), dtype=np.int64)
+    noise = None
+    if cfg.algorithm == "fedvi":
+        noise = np.empty((cfg.local_epochs, len(batches), arch.beta_dim))
+    for epoch in range(cfg.local_epochs):
+        perms[epoch] = rng.permutation(n)
+        if noise is not None:
+            noise[epoch] = rng.standard_normal((len(batches), arch.beta_dim))
+    return batches, perms, noise
+
+
 def iter_local_batches(
     client: ClientDataset,
     cfg: TrainConfig,
     arch: ArchConfig,
     rng: np.random.Generator,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """Yield (x, y, noise) minibatches for one local pass.
-
-    Reshuffles every epoch and cuts the permutation with
-    ``ArchConfig.batch_slices``, so both algorithms train on the same batches.
-    The noise vector for the local-weight sample is drawn here (fresh per
-    batch) so that replaying with the same generator replays training
-    exactly.
-    """
+    """Yield a client's (x, y, noise) minibatches for one round of local
+    training, epoch by epoch, unpadded, from ``local_draws``: the batches
+    and noise ``client_update`` trains the client on with the same
+    generator."""
     x_tr, y_tr = client.train_arrays()
-    n = x_tr.shape[0]
-    for _ in range(cfg.local_epochs):
-        perm = rng.permutation(n)
-        for rows in arch.batch_slices(n, cfg.batch_size):
+    batches, perms, noise = local_draws(client.n_train, cfg, arch, rng)
+    for epoch, perm in enumerate(perms):
+        for j, rows in enumerate(batches):
             idx = perm[rows]
-            noise = rng.standard_normal(arch.beta_dim) if cfg.algorithm == "fedvi" else None
-            yield x_tr[idx], y_tr[idx], noise
+            yield x_tr[idx], y_tr[idx], None if noise is None else noise[epoch, j]
 
 
 def client_update(
@@ -181,13 +203,20 @@ def client_update(
 ) -> CohortUpdate:
     """Local training of a cohort on copies of the global parameters.
 
-    Client k draws its minibatches and noise from ``rngs[k]``. The global
-    parameter vector is copied once into a [C x P] matrix, one row per
-    client; at step j of each local epoch, every maximal run of adjacent
-    rows whose j-th batches of the epoch have the same size takes one
-    stacked step (loss, backward, SGD update) on a view of its rows. A
-    cohort of one client computes exactly what that client computes in any
-    cohort.
+    Client k draws its minibatches and noise from ``rngs[k]`` with
+    ``local_draws``. The global parameter vector is copied once into a
+    [C x P] matrix, one row per client, with rows in descending order of
+    the clients' batches per epoch (ties in cohort order), so the rows
+    still training at step j of an epoch are a prefix. Each round gathers
+    every client's batches once into padded buffers [epochs x steps x C x
+    batch_size x d] (``padded_slots``; padding holds zeros), and at each
+    (epoch, step j) the prefix takes one stacked step (loss, backward, SGD
+    update) at width ``batch_size``, its gradient written into one [C x P]
+    buffer. A tail batch thus trains with the full ones; its loss is its
+    real rows' alone. The width never depends on the cohort, so a cohort
+    of one client computes exactly what that client computes in any
+    cohort. A client with fewer training rows than ``batch_size`` still
+    pays for ``batch_size`` rows a step.
 
     Each ClientUpdate holds the pseudo-gradient delta = initial - final
     (the client's row of the cohort matrix taken from the global vector),
@@ -198,66 +227,83 @@ def client_update(
     in cohort order, at the earliest failing step.
     """
     arch = global_params.arch
-    plans = [list(iter_local_batches(c, cfg, arch, rng)) for c, rng in zip(clients, rngs)]
-    # Every epoch cuts a client's rows alike, so rows go in descending order
-    # of one epoch's batch sizes: the clients that share a batch size at a
-    # step of an epoch are then adjacent rows and take one stacked step.
-    epoch_sizes = [
-        [xb.shape[0] for xb, _, _ in plan[: len(plan) // cfg.local_epochs]] for plan in plans
-    ]
-    order = sorted(
-        (k for k, plan in enumerate(plans) if plan), key=epoch_sizes.__getitem__, reverse=True
-    )
+    fedvi = cfg.algorithm == "fedvi"
+    width = cfg.batch_size
+    draws = [local_draws(c.n_train, cfg, arch, rng) for c, rng in zip(clients, rngs)]
+    plan = [len(batches) for batches, _, _ in draws]
+    order = sorted((k for k in range(len(clients)) if plan[k]), key=lambda k: -plan[k])
+    steps = plan[order[0]] if order else 0
+    x = np.zeros((cfg.local_epochs, steps, len(order), width, arch.input_dim))
+    y = np.zeros(x.shape[:-1], dtype=np.int64)
+    sizes = np.zeros((steps, len(order)), dtype=np.int64)
+    noise = np.empty(x.shape[:3] + (arch.beta_dim,)) if fedvi else None
+    for row, k in enumerate(order):
+        batches, perms, eps = draws[k]
+        used = batches[-1].stop
+        sizes[: plan[k], row] = [b.stop - b.start for b in batches]
+        batch_of, slot = np.divmod(np.arange(used), width)
+        if fedvi:
+            slot[batches[-1]] = padded_slots(arch, int(sizes[plan[k] - 1, row]), width)
+        x_tr, y_tr = clients[k].train_arrays()
+        x[:, batch_of, row, slot] = x_tr[perms[:, :used]]
+        y[:, batch_of, row, slot] = y_tr[perms[:, :used]]
+        if fedvi:
+            noise[:, : plan[k], row] = eps
+
     params = global_params.stacked(len(order))
+    grad = FedVIParams(np.zeros_like(params.flat), arch)
+    views: dict[tuple[int, int], tuple[FedVIParams, FedVIParams]] = {}
+
+    def step_rows(epoch: int, j: int, lo: int, hi: int) -> LossParts:
+        """One SGD step of rows [lo, hi) on their batches j of ``epoch``."""
+        if (lo, hi) not in views:
+            views[lo, hi] = (params.rows(slice(lo, hi)), grad.rows(slice(lo, hi)))
+        theta, d_theta = views[lo, hi]
+        xb, yb, nb = x[epoch, j, lo:hi], y[epoch, j, lo:hi], sizes[j, lo:hi]
+        if fedvi:
+            loss, parts = minibatch_loss(
+                theta, xb, yb, cfg.tau, noise[epoch, j, lo:hi], nb, d_theta
+            )
+        else:
+            loss, parts = global_branch_loss(theta, xb, yb, nb, d_theta)
+        step_grad = nn.backward(loss)["theta"]
+        step_grad *= cfg.client_lr
+        theta.flat -= step_grad
+        return parts
+
     loss_sum, nll_sum, reg_sum, kl_sum = (np.zeros(len(order)) for _ in range(4))
-    width = max((len(epoch_sizes[k]) for k in order), default=0)
-    for epoch, j in itertools.product(range(cfg.local_epochs), range(width)):
-        # Row k trains on its batch epoch * L_k + j, for L_k batches an
-        # epoch; a row whose epoch has ended has size 0.
-        sizes = [epoch_sizes[k][j] if j < len(epoch_sizes[k]) else 0 for k in order]
-        batch = [epoch * len(epoch_sizes[k]) + j for k in order]
-        failed: list[int] = []
-        hi = 0
-        for size, run in itertools.groupby(sizes):
-            lo, hi = hi, hi + len(list(run))
-            if not size:
-                continue
-            rows = slice(lo, hi)
-            try:
-                parts = _stacked_step(
-                    params.rows(rows), [plans[k][t] for k, t in zip(order[rows], batch[rows])], cfg
-                )
-            except nn.NonFiniteError:
-                failed += range(lo, hi)
-                continue
-            loss_sum[rows] += parts.loss
-            nll_sum[rows] += parts.nll
-            reg_sum[rows] += parts.kl / size
-            kl_sum[rows] += parts.kl
-        if failed:
-            # Rerun the failed rows one at a time, in cohort order.
-            for row in sorted(failed, key=order.__getitem__):
-                k, t = order[row], batch[row]
+    for epoch, j in itertools.product(range(cfg.local_epochs), range(steps)):
+        n = int(np.count_nonzero(sizes[j]))
+        try:
+            parts = step_rows(epoch, j, 0, n)
+        except nn.NonFiniteError:
+            # Rerun the prefix's rows one at a time, in cohort order.
+            for row in sorted(range(n), key=order.__getitem__):
                 try:
-                    _stacked_step(params.rows(slice(row, row + 1)), [plans[k][t]], cfg)
+                    step_rows(epoch, j, row, row + 1)
                 except nn.NonFiniteError as exc:
-                    exc.add_context(client=clients[k].client_id, batch=t)
+                    k = order[row]
+                    exc.add_context(client=clients[k].client_id, batch=epoch * plan[k] + j)
                     raise
             raise RuntimeError(f"step {j} of epoch {epoch} failed in a stack, for no client alone")
+        loss_sum[:n] += parts.loss
+        nll_sum[:n] += parts.nll
+        reg_sum[:n] += parts.kl / sizes[j, :n]
+        kl_sum[:n] += parts.kl
     updates = []
     for row, k in sorted(enumerate(order), key=lambda pair: pair[1]):
-        steps = len(plans[k])
+        client_steps = cfg.local_epochs * plan[k]
         updates.append(
             ClientUpdate(
                 client_id=clients[k].client_id,
                 delta=global_params.flat - params.flat[row],
                 weight=clients[k].n_train,
-                mean_loss=float(loss_sum[row]) / steps,
+                mean_loss=float(loss_sum[row]) / client_steps,
                 loss_sum=float(loss_sum[row]),
                 nll_sum=float(nll_sum[row]),
                 reg_sum=float(reg_sum[row]),
                 kl_raw_sum=float(kl_sum[row]),
-                steps=steps,
+                steps=client_steps,
             )
         )
     return CohortUpdate(
@@ -265,23 +311,6 @@ def client_update(
         skipped=len(clients) - len(order),
         steps=sum(u.steps for u in updates),
     )
-
-
-def _stacked_step(
-    params: FedVIParams,
-    batches: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
-    cfg: TrainConfig,
-) -> LossParts:
-    """One SGD step of stacked ``params``, one row per batch (all of one
-    size); returns the loss parts, one per row."""
-    xb = np.stack([b[0] for b in batches])
-    yb = np.stack([b[1] for b in batches])
-    if cfg.algorithm == "fedvi":
-        loss, parts = minibatch_loss(params, xb, yb, cfg.tau, np.stack([b[2] for b in batches]))
-    else:
-        loss, parts = global_branch_loss(params, xb, yb)
-    params.flat -= cfg.client_lr * nn.backward(loss)["theta"]
-    return parts
 
 
 def init_server(arch: ArchConfig, seed: int) -> ServerState:

@@ -27,6 +27,15 @@ stacked ones, a [C x P] matrix from ``FedVIParams.stacked`` (as the
 cohort's local training does). Each client's slice goes through the same
 BLAS calls and reductions as its batch alone, so its results are
 bit-identical to the 2-D case.
+A stack of batches of different sizes runs padded to one width (as the
+cohort's local training does): ``padded_slots`` puts a batch's support
+rows first in the support slots and its query rows first in the query
+slots, and the loss functions take each batch's true size. The support
+mean adds the real rows alone, the query NLL and its gradient are zero on
+padding, and the KL weight is tau / (true size), so a padded batch's loss
+is its rows' loss and its gradient the unpadded gradient (bit for bit when
+its support half has two or more rows; numpy's pairwise sum over 8 or more
+query rows can regroup the loss in the last bit).
 Batches of any sizes can also run flat, back to back in one 2-D matrix (as
 ``evaluate`` does): ``construct_posterior``'s segment form gives one
 posterior per batch and ``predict_logits``'s row form scores each query
@@ -282,6 +291,16 @@ def split_support_query(batch_size: int, support_fraction: float) -> tuple[np.nd
     return idx[:support], idx[support:]
 
 
+def padded_slots(arch: ArchConfig, size: int, width: int) -> np.ndarray:
+    """The slots of a batch of ``size`` rows in a padded batch of ``width``:
+    its int(fraction * size) support rows go first in the support slots
+    [0, int(fraction * width)), its query rows first in the query slots
+    that follow. The other slots are padding."""
+    support = int(arch.support_fraction * size)
+    rows = np.arange(size)
+    return np.where(rows < support, rows, rows + int(arch.support_fraction * width) - support)
+
+
 def split_features(arch: ArchConfig, rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns [0, G) are global features, [G, G+L) local features."""
     if rep.shape[-1] != arch.rep_dim:
@@ -326,6 +345,11 @@ def construct_posterior(
     rows are added in order, as the row mean adds them. (``np.add.reduceat``
     would add the first row to a pairwise sum of the rest.)
 
+    Padded form: with ``counts`` and a stack [C x S x G], batch c's support
+    is its first counts[c] rows and the rest is padding. The padding's
+    outputs become -0.0 on the same grid, so each posterior has the bits of
+    its real rows' mean.
+
     The posterior starts at the prior because init_params shrinks the
     constructor's output layer by POSTERIOR_HEAD_INIT_SHRINK, not because of
     the two factors. Each factor scales its output and that output's
@@ -342,15 +366,24 @@ def construct_posterior(
     if counts is None:
         g = out.mean(axis=-2)
     else:
-        if support_global.ndim != 2 or counts.min() < 1 or counts.sum() != out.shape[0]:
-            raise nn.ShapeMismatchError(
-                f"{counts.size} segments of {counts.sum()} rows in all (each >= 1) "
-                f"do not tile support features {support_global.shape}"
-            )
-        segment = np.repeat(np.arange(counts.size), counts)
-        position = np.arange(out.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-        grid = np.full((counts.size, counts.max(), out.shape[-1]), -0.0)
-        grid[segment, position] = out
+        if support_global.ndim == 2:
+            if counts.min() < 1 or counts.sum() != out.shape[0]:
+                raise nn.ShapeMismatchError(
+                    f"{counts.size} segments of {counts.sum()} rows in all (each >= 1) "
+                    f"do not tile support features {support_global.shape}"
+                )
+            segment = np.repeat(np.arange(counts.size), counts)
+            position = np.arange(out.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+            grid = np.full((counts.size, counts.max(), out.shape[-1]), -0.0)
+            grid[segment, position] = out
+        else:
+            if counts.shape != out.shape[:1] or counts.min() < 1 or counts.max() > out.shape[1]:
+                raise nn.ShapeMismatchError(
+                    f"support row counts {counts.tolist()} do not fit a padded stack "
+                    f"of shape {out.shape[:-1]}"
+                )
+            real = np.arange(out.shape[1]) < counts[:, None]
+            grid = np.where(real[..., None], out, -0.0)
         g = grid.sum(axis=-2) / counts[:, None]
     m = arch.beta_dim
     mu = arch.mean_damp * g[..., :m]
@@ -368,10 +401,13 @@ def _posterior_backward(
     d_scale: np.ndarray,
     d_bias: np.ndarray,
     grads: list[np.ndarray],
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Reverse pass of ``construct_posterior`` from d(loss)/d(mu, sigma,
     b_beta); fills the constructor's gradients ``grads`` (laid out as
-    ``theta_post``), returns d/d(support_global)."""
+    ``theta_post``), returns d/d(support_global). ``counts`` gives a padded
+    stack's real support rows, as in ``construct_posterior``; padding gets a
+    zero gradient."""
     arch = params.arch
     m = arch.beta_dim
     d_g = np.empty(d_bias.shape[:-1] + (arch.posterior_out_dim,))
@@ -379,7 +415,11 @@ def _posterior_backward(
     d_g[..., m : 2 * m] = d_scale * arch.prior_scale * stats.scale_exp * arch.logscale_damp
     d_g[..., 2 * m :] = d_bias
     rows = acts[0].shape[-2]
-    d_out = np.repeat((d_g / rows)[..., None, :], rows, axis=-2)
+    if counts is None:
+        d_out = np.repeat((d_g / rows)[..., None, :], rows, axis=-2)
+    else:
+        real = np.arange(rows) < counts[:, None]
+        d_out = np.where(real[..., None], (d_g / counts[:, None])[:, None, :], 0.0)
     return _mlp_backward(params.theta_post, acts, d_out, grads, input_grad=True)
 
 
@@ -437,7 +477,7 @@ class LossParts:
 
     nll: float | np.ndarray
     kl: float | np.ndarray
-    kl_weight: float
+    kl_weight: float | np.ndarray
 
     @property
     def loss(self) -> float:
@@ -447,7 +487,8 @@ class LossParts:
 @dataclass
 class BatchForward:
     """Reusable pieces of one personalized forward pass, plus the layer
-    inputs of both MLPs that the reverse pass reads."""
+    inputs of both MLPs that the reverse pass reads. A padded stack also
+    keeps each batch's real support and query rows (``padded_slots``)."""
 
     params: FedVIParams
     stats: PosteriorStats
@@ -456,6 +497,8 @@ class BatchForward:
     support_size: int
     embed_acts: list[np.ndarray]
     post_acts: list[np.ndarray]
+    support_counts: np.ndarray | None = None
+    query_counts: np.ndarray | None = None
 
     def logits_for(self, beta: np.ndarray) -> np.ndarray:
         return predict_logits(
@@ -463,18 +506,33 @@ class BatchForward:
         )
 
 
-def forward_batch(params: FedVIParams, x) -> BatchForward:
-    """Embed, split support/query and features, rebuild the posterior."""
+def forward_batch(params: FedVIParams, x, sizes: np.ndarray | None = None) -> BatchForward:
+    """Embed, split support/query and features, rebuild the posterior.
+
+    With ``sizes``, ``x`` is a padded stack [C x B x d]: batch c has
+    sizes[c] real rows, laid out by ``padded_slots``, and its posterior is
+    rebuilt from its real support rows only.
+    """
+    arch = params.arch
     x = np.asarray(x, dtype=np.float64)
-    support, _ = split_support_query(x.shape[-2], params.arch.support_fraction)
+    support, _ = split_support_query(x.shape[-2], arch.support_fraction)
     s = support.size
+    support_counts = query_counts = None
+    if sizes is not None:
+        if x.ndim != 3:
+            raise nn.ShapeMismatchError(f"a padded batch must be a stack, got {x.shape}")
+        support_counts = (arch.support_fraction * sizes).astype(np.int64)
+        query_counts = sizes - support_counts
     embed_acts: list[np.ndarray] = []
     post_acts: list[np.ndarray] = []
     rep = embed(params, x, embed_acts)
-    support_global, _ = split_features(params.arch, rep[..., :s, :])
-    query_global, query_local = split_features(params.arch, rep[..., s:, :])
-    stats = construct_posterior(params, support_global, post_acts)
-    return BatchForward(params, stats, query_global, query_local, s, embed_acts, post_acts)
+    support_global, _ = split_features(arch, rep[..., :s, :])
+    query_global, query_local = split_features(arch, rep[..., s:, :])
+    stats = construct_posterior(params, support_global, post_acts, support_counts)
+    return BatchForward(
+        params, stats, query_global, query_local, s, embed_acts, post_acts,
+        support_counts, query_counts,
+    )
 
 
 def minibatch_loss(
@@ -483,6 +541,8 @@ def minibatch_loss(
     y: np.ndarray,
     tau: float,
     noise: np.ndarray,
+    sizes: np.ndarray | None = None,
+    grad: FedVIParams | None = None,
 ) -> tuple[Tensor, LossParts]:
     """Query NLL plus (tau / batch) * KL(q, prior), with the parts reported.
 
@@ -494,26 +554,35 @@ def minibatch_loss(
     ``y`` is [C x B] and ``noise`` [C x m]; the parts hold one value per
     client and the loss node's value is their sum, whose gradient leaves
     each client's gradient exactly as its own loss gives it.
+
+    Padded stack: with ``sizes`` [C], batch c has sizes[c] real rows laid
+    out by ``padded_slots``, and its loss is its real rows' alone: the
+    padding's NLL and gradient are zero, and the KL weight is
+    tau / sizes[c]. Padding must hold finite values (zeros, in training),
+    because its forward pass is computed before it is masked.
+
+    ``grad``, when given, is the buffer the reverse pass writes the
+    gradient into, laid out as ``params``; otherwise a new one is made.
     """
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     arch = params.arch
     batch = np.asarray(x).shape[-2]
-    fwd = forward_batch(params, x)
+    fwd = forward_batch(params, x, sizes)
     q = fwd.stats.q
     beta = sample_reparam(q, noise)
     nll, d_logits = nn.softmax_nll(
-        fwd.logits_for(beta), np.asarray(y)[..., fwd.support_size :]
+        fwd.logits_for(beta), np.asarray(y)[..., fwd.support_size :], fwd.query_counts
     )
     prior = arch.prior
     kl = kl_diag(q, prior)
-    weight = tau / batch
+    weight = tau / (batch if sizes is None else sizes)
     value = nll + weight * kl
     nn.assert_all_finite(value, "minibatch loss")
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
-        # every block's gradient is written in full, so the buffer starts empty
-        out = FedVIParams(np.empty_like(params.flat), arch)
+        # every block's gradient is written in full, so the buffer may start empty
+        out = grad if grad is not None else FedVIParams(np.empty_like(params.flat), arch)
         d_logits_g = g * d_logits
         # two-branch logits: q_local @ reshape(beta).T + cls(q_global) + b_beta
         d_query_global = _mlp_backward(
@@ -525,11 +594,12 @@ def minibatch_loss(
         d_query_local = d_logits_g @ weights
         d_mean, d_scale = sample_reparam_grad(noise, d_beta)
         kl_mean, kl_scale = kl_diag_grad(q, prior)
-        d_mean = d_mean + (g * weight) * kl_mean
-        d_scale = d_scale + (g * weight) * kl_scale
+        kl_g = np.asarray(g * weight)[..., None]
+        d_mean = d_mean + kl_g * kl_mean
+        d_scale = d_scale + kl_g * kl_scale
         d_support_global = _posterior_backward(
             params, fwd.stats, fwd.post_acts, d_mean, d_scale,
-            d_logits_g.sum(axis=-2), out.theta_post,
+            d_logits_g.sum(axis=-2), out.theta_post, fwd.support_counts,
         )
         s, g_dim = fwd.support_size, arch.global_dim
         d_rep = np.zeros(d_logits.shape[:-2] + (batch, arch.rep_dim))
@@ -543,19 +613,28 @@ def minibatch_loss(
     return loss, LossParts(nll=nll, kl=kl, kl_weight=weight)
 
 
-def global_branch_loss(params: FedVIParams, x, y: np.ndarray) -> tuple[Tensor, LossParts]:
+def global_branch_loss(
+    params: FedVIParams,
+    x,
+    y: np.ndarray,
+    sizes: np.ndarray | None = None,
+    grad: FedVIParams | None = None,
+) -> tuple[Tensor, LossParts]:
     """Summed NLL of the global branch on the whole batch (fedavg's loss).
 
     One fused node over the parameter vector, as in ``minibatch_loss``; the
     constructor's gradient is +0.0, so an SGD step leaves it bit for bit as
-    it was. A stack of batches works as in ``minibatch_loss``.
+    it was. A stack of batches works as in ``minibatch_loss``; so does a
+    padded stack, except that batch c's real rows are its first sizes[c].
+    A given ``grad`` buffer must hold zeros in the constructor's blocks,
+    which this loss never writes.
     """
     acts: list[np.ndarray] = []
-    nll, d_logits = nn.softmax_nll(global_branch_logits(params, x, acts), y)
+    nll, d_logits = nn.softmax_nll(global_branch_logits(params, x, acts), y, sizes)
     nn.assert_all_finite(nll, "minibatch loss")
 
     def grads(g: np.ndarray) -> list[np.ndarray]:
-        out = FedVIParams(np.zeros_like(params.flat), params.arch)
+        out = grad if grad is not None else FedVIParams(np.zeros_like(params.flat), params.arch)
         d_global = _mlp_backward(
             params.theta_cls, acts[-1:], g * d_logits, out.theta_cls, input_grad=True
         )

@@ -318,7 +318,9 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
     return _node(out, (a,), push)
 
 
-def softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def softmax_nll(
+    logits: np.ndarray, labels: np.ndarray, counts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Summed negative log-likelihood of integer labels under row softmax,
     and its gradient with respect to the logits (softmax minus one-hot).
 
@@ -326,6 +328,10 @@ def softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     the B rows of each leading index, so [B, K] logits give one scalar and
     a stack of them one sum per batch. Uses the log-sum-exp shift, so
     arbitrarily large logits stay stable.
+
+    ``counts`` [...], when given, counts the real rows of each batch, which
+    come first; the rest is padding, whose NLL and gradient are zero (its
+    labels must still be in range).
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 2:
@@ -338,16 +344,24 @@ def softmax_nll(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     k = z.shape[-1]
     if y.size and (y.min() < 0 or y.max() >= k):
         raise IndexError(f"label out of range [0, {k})")
+    if counts is not None and (
+        np.shape(counts) != y.shape[:-1] or np.min(counts) < 0 or np.max(counts) > y.shape[-1]
+    ):
+        raise ShapeMismatchError(f"row counts {counts} do not fit labels of shape {y.shape}")
     flat_y = y.reshape(-1).astype(np.intp, copy=False)
     rows = np.arange(flat_y.size)
     shift = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shift)
     norm = e.sum(axis=-1)
     picked = shift.reshape(-1, k)[rows, flat_y].reshape(y.shape)
-    nll = (np.log(norm) - picked).sum(axis=-1)
+    nll = np.log(norm) - picked
     grad = e / norm[..., None]
     grad.reshape(-1, k)[rows, flat_y] -= 1.0
-    return nll, grad
+    if counts is not None:
+        real = np.arange(y.shape[-1]) < np.asarray(counts)[..., None]
+        nll = np.where(real, nll, 0.0)
+        grad = np.where(real[..., None], grad, 0.0)
+    return nll.sum(axis=-1), grad
 
 
 def fused(

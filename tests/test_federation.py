@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvi import bounds, federation, model, nn
+from fedvi.config import parse_config
 from fedvi.datagen import ClientDataset, FederatedDataset, GenConfig, generate_hierarchical
 from fedvi.datagen import softmax_rows
 from fedvi.federation import (
@@ -29,6 +32,8 @@ from fedvi.model import (
 from fedvi.seeding import DOMAIN_CLIENT, substream
 
 from conftest import replay_rounds, small_arch
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def make_ds(seed=3, c=8, holdout=2, n=(40, 60), d=5, k=3, sigma_beta=1.0, shift=0.5):
@@ -159,14 +164,22 @@ class TestClientUpdate:
             assert np.all(block == 0.0) == name.startswith("post."), name
 
     def test_step_on_rows_writes_through_to_the_cohort(self, rng):
+        # client_update steps on views of the cohort matrix and of its one
+        # gradient buffer: a step on row 1 writes row 1 of each, no other
         ds = make_ds()
         cfg = make_cfg(batch_size=8)
         cohort = init_params(small_arch(), rng).stacked(3)
+        grad = FedVIParams(np.zeros_like(cohort.flat), cohort.arch)
         before = cohort.flat.copy()
         x, y, noise = next(federation.iter_local_batches(ds.clients[0], cfg, cohort.arch, rng))
-        federation._stacked_step(cohort.rows(slice(1, 2)), [(x, y, noise)], cfg)
+        theta = cohort.rows(slice(1, 2))
+        loss, _ = model.minibatch_loss(
+            theta, x[None], y[None], cfg.tau, noise[None], np.array([8]), grad.rows(slice(1, 2))
+        )
+        theta.flat -= cfg.client_lr * nn.backward(loss)["theta"]
         assert np.array_equal(cohort.flat[[0, 2]], before[[0, 2]])
         assert np.any(cohort.flat[1] != before[1])
+        assert np.all(grad.flat[[0, 2]] == 0.0) and np.any(grad.flat[1] != 0.0)
 
     def test_degenerate_client_is_skipped(self, rng):
         params = init_params(small_arch(), rng)
@@ -480,9 +493,9 @@ class TestLockstepCohort:
         ],
     )
     def test_one_epoch_takes_one_step_per_batch_size(self, algorithm, local_epochs, monkeypatch):
-        # every epoch cuts a client's rows alike, so the clients that share
-        # a batch size at a step of an epoch are adjacent rows: one stacked
-        # step per distinct size, at every epoch
+        # every batch, a tail too, trains at width batch_size, and rows go
+        # longest plan first, so the rows still training at a step index are
+        # a prefix: one stacked step per local step index of every epoch
         arch = small_arch()
         clients = ragged_clients(substream(41, 0), arch, RAGGED_TRAIN, [4] * 7)
         cfg = make_cfg(batch_size=8, local_epochs=local_epochs, algorithm=algorithm)
@@ -497,21 +510,32 @@ class TestLockstepCohort:
         ]
         epochs = [plan[: len(plan) // local_epochs] for plan in sizes]
         assert sizes == [epoch * local_epochs for epoch in epochs]
-        expected = local_epochs * sum(
-            len({epoch[t] for epoch in epochs if t < len(epoch)})
-            for t in range(max(map(len, epochs)))
-        )
+        assert max(map(len, epochs)) == 3  # sizes {8, 2}, {8, 5}, {5, 3} an epoch
         stacked_steps = []
         backward = nn.backward
         monkeypatch.setattr(nn, "backward", lambda loss: stacked_steps.append(1) or backward(loss))
         cohort = client_update(params, clients, cfg, rngs())
-        assert expected == 6 * local_epochs  # sizes {8, 2}, {8, 5}, {5, 3} an epoch
-        assert len(stacked_steps) == expected < cohort.steps
+        assert len(stacked_steps) == 3 * local_epochs < cohort.steps
+
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    def test_heterogeneous_cfg_steps_at_its_longest_plans(self, algorithm, monkeypatch):
+        # 20 rounds as shipped: each round takes as many stacked steps as its
+        # cohort's longest plan has batches
+        cfg = parse_config(
+            CONFIGS / "heterogeneous.cfg",
+            {("train", "rounds"): 20, ("train", "algorithm"): algorithm},
+        )
+        ds, _ = generate_hierarchical(cfg.gen)
+        stacked_steps = []
+        backward = nn.backward
+        monkeypatch.setattr(nn, "backward", lambda loss: stacked_steps.append(1) or backward(loss))
+        result = run_training(cfg.train, cfg.arch, ds)
+        assert (len(stacked_steps), result.reports[-1].cumulative_steps) == (184, 1168)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_non_finite_names_first_failing_client_of_earliest_step(self):
         # cohort order: a client that fails at batch 1, two that fail at
-        # batch 0 in different stacked groups (8 and 5 rows), a healthy one
+        # batch 0 in one stacked step (8 and 5 rows), a healthy one
         arch = small_arch()
         clients = ragged_clients(substream(42, 0), arch, [24, 5, 16, 16], [0] * 4)
         cfg = make_cfg(batch_size=8)
@@ -521,6 +545,25 @@ class TestLockstepCohort:
                 client.n_train
             )
             client.x[perm[8 * batch : 8 * batch + 8]] = 1e308
+        params = init_params(arch, substream(42, 1))
+        with pytest.raises(nn.NonFiniteError) as info:
+            client_update(params, clients, cfg, rngs)
+        assert info.value.context == {"client": clients[1].client_id, "batch": 0}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_names_first_failing_client_fedavg(self):
+        # the same cohort on the global branch, whose draws have no noise but
+        # the same permutations; its loss stays finite on rows of 1e308, so
+        # the rows hold infinities
+        arch = small_arch()
+        clients = ragged_clients(substream(42, 0), arch, [24, 5, 16, 16], [0] * 4)
+        cfg = make_cfg(batch_size=8, algorithm="fedavg")
+        rngs = [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in clients]
+        for client, batch in [(clients[0], 1), (clients[1], 0), (clients[2], 0)]:
+            perm = substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id).permutation(
+                client.n_train
+            )
+            client.x[perm[8 * batch : 8 * batch + 8]] = np.inf
         params = init_params(arch, substream(42, 1))
         with pytest.raises(nn.NonFiniteError) as info:
             client_update(params, clients, cfg, rngs)

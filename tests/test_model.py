@@ -17,6 +17,7 @@ from fedvi.model import (
     global_branch_loss,
     init_params,
     minibatch_loss,
+    padded_slots,
     predict_logits,
     split_features,
     split_support_query,
@@ -569,3 +570,109 @@ class TestStackedBatches:
             assert grads.keys() == one.keys()
             for name, g in one.items():
                 assert np.array_equal(grads[name][row].reshape(g.shape), g), name
+
+
+def padded_stack(arch: ArchConfig, batches, width: int, fedvi: bool = True):
+    """Batches (x, y) of at most ``width`` rows as one padded stack, laid
+    out as local training lays them out: by ``padded_slots`` for fedvi, in
+    the first slots for fedavg; padding holds zeros."""
+    x = np.zeros((len(batches), width, arch.input_dim))
+    y = np.zeros((len(batches), width), dtype=np.int64)
+    for row, (xb, yb) in enumerate(batches):
+        slots = padded_slots(arch, yb.size, width) if fedvi else np.arange(yb.size)
+        x[row, slots], y[row, slots] = xb, yb
+    return x, y, np.array([yb.size for _, yb in batches])
+
+
+class TestPaddedBatches:
+    # a stack at batch size 16 with tails of 2, 5 and 13 rows and a full
+    # batch; at support fraction 0.5 the tails' support halves have 1, 2
+    # and 6 rows
+    WIDTH = 16
+    SIZES = (2, 5, 13, 16)
+
+    def setup(self, loss_fn, seed=1):
+        rng = substream(2027, seed)
+        arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
+        stacked = randomized_params(arch, rng).stacked(len(self.SIZES))
+        for block in stacked.blocks.values():
+            block[...] += rng.uniform(-0.1, 0.1, block.shape)
+        batches = [batch_for(arch, rng, batch=size) for size in self.SIZES]
+        noise = np.stack([nb for _, _, nb in batches])
+        x, y, sizes = padded_stack(
+            arch, [(xb, yb) for xb, yb, _ in batches], self.WIDTH, loss_fn == "fedvi"
+        )
+        return stacked, batches, (x, y, noise, sizes)
+
+    @staticmethod
+    def loss(loss_fn, params, x, y, noise, sizes=None, grad=None):
+        if loss_fn == "fedvi":
+            return minibatch_loss(params, x, y, 0.5, noise, sizes, grad)
+        return global_branch_loss(params, x, y, sizes, grad)
+
+    @pytest.mark.parametrize("loss_fn", ["fedvi", "fedavg"])
+    def test_gradient_matches_finite_differences(self, loss_fn):
+        stacked, _, (x, y, noise, sizes) = self.setup(loss_fn)
+        grads, errs = fd_errors(stacked, lambda: self.loss(loss_fn, stacked, x, y, noise, sizes)[0])
+        assert len(grads) == len(stacked.blocks)
+        assert max(errs.values()) < 1e-4, errs
+
+    @pytest.mark.parametrize("loss_fn", ["fedvi", "fedavg"])
+    def test_each_row_equals_its_batch_unpadded(self, loss_fn):
+        # loss parts within 1e-12 (padding zeros regroup numpy's pairwise
+        # sum over 8 or more rows); the gradient bit for bit, except where
+        # the unpadded batch has a one-row support half
+        stacked, batches, (x, y, noise, sizes) = self.setup(loss_fn)
+        buffer = FedVIParams(np.zeros_like(stacked.flat), stacked.arch)
+        loss, parts = self.loss(loss_fn, stacked, x, y, noise, sizes, buffer)
+        grad = nn.backward(loss)["theta"]
+        assert np.shares_memory(grad, buffer.flat)
+        assert loss.item() == parts.loss.sum()
+        for row, (xb, yb, nb) in enumerate(batches):
+            alone = client_row(stacked, row)
+            one_loss, one_parts = self.loss(loss_fn, alone, xb, yb, nb)
+            for got, want in [
+                (parts.loss[row], one_loss.item()),
+                (parts.nll[row], one_parts.nll),
+                (parts.kl[row], one_parts.kl),
+            ]:
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert np.broadcast_to(parts.kl_weight, sizes.shape)[row] == one_parts.kl_weight
+            one = nn.backward(one_loss)["theta"]
+            if loss_fn == "fedavg" or yb.size >= 4:
+                assert np.array_equal(grad[row], one), yb.size
+            else:
+                assert max_rel_err(grad[row], one) < 1e-12
+
+    @pytest.mark.parametrize("loss_fn", ["fedvi", "fedavg"])
+    def test_padding_and_support_labels_change_nothing(self, loss_fn):
+        stacked, _, (x, y, noise, sizes) = self.setup(loss_fn)
+        loss, parts = self.loss(loss_fn, stacked, x, y, noise, sizes)
+        grad = nn.backward(loss)["theta"]
+        rng = substream(2027, 2)
+        support = int(stacked.arch.support_fraction * self.WIDTH)
+        x2, y2 = x.copy(), y.copy()
+        for row, size in enumerate(sizes):
+            real = padded_slots(stacked.arch, size, self.WIDTH) if loss_fn == "fedvi" else (
+                np.arange(size)
+            )
+            pad = np.setdiff1d(np.arange(self.WIDTH), real)
+            x2[row, pad] = rng.standard_normal((pad.size, stacked.arch.input_dim))
+            y2[row, pad] = rng.integers(0, stacked.arch.num_classes, pad.size)
+            if loss_fn == "fedvi":
+                y2[row, :support] = (y2[row, :support] + 1) % stacked.arch.num_classes
+        assert np.any(x2 != x) and np.any(y2 != y)
+        loss2, parts2 = self.loss(loss_fn, stacked, x2, y2, noise, sizes)
+        assert loss2.item() == loss.item()
+        assert np.array_equal(parts2.nll, parts.nll) and np.array_equal(parts2.kl, parts.kl)
+        assert np.array_equal(nn.backward(loss2)["theta"], grad)
+
+    @pytest.mark.parametrize(
+        "loss_fn, bad", [("fedvi", 1), ("fedvi", 17), ("fedavg", -1), ("fedavg", 17)]
+    )
+    def test_sizes_must_fit_the_stack(self, loss_fn, bad):
+        # fedvi needs a support and a query row; the global branch any row
+        stacked, _, (x, y, noise, sizes) = self.setup(loss_fn)
+        sizes[1] = bad
+        with pytest.raises(nn.ShapeMismatchError):
+            self.loss(loss_fn, stacked, x, y, noise, sizes)
