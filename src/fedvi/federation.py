@@ -21,7 +21,9 @@ Every random draw comes from a counter-derived substream keyed by
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -222,9 +224,10 @@ def client_update(
     (the client's row of the cohort matrix taken from the global vector),
     the client's training example count as aggregation weight, and loss
     statistics. Clients with no batch (``ArchConfig.batch_slices``) are skipped.
-    The copies are discarded: clients are stateless. A NonFiniteError
-    names the client and its own batch index of the first failing client
-    in cohort order, at the earliest failing step.
+    The copies are discarded: clients are stateless. A NonFiniteError, from
+    a step's loss or from a row that a step's update left non-finite, names
+    the client and its own batch index of the first failing client in
+    cohort order, at the earliest failing step.
     """
     arch = global_params.arch
     fedvi = cfg.algorithm == "fedvi"
@@ -277,10 +280,17 @@ def client_update(
         try:
             parts = step_rows(epoch, j, 0, n)
         except nn.NonFiniteError:
-            # Rerun the prefix's rows one at a time, in cohort order.
+            parts = None
+        # A gradient can overflow under a finite loss, so the updated rows
+        # are checked too. Rows are independent: a stacked step's rows are
+        # their steps alone, and only a loss over the stack needs them rerun,
+        # one at a time in cohort order, to name the first failing client.
+        if parts is None or not np.isfinite(params.flat[:n]).all():
             for row in sorted(range(n), key=order.__getitem__):
                 try:
-                    step_rows(epoch, j, row, row + 1)
+                    if parts is None:
+                        step_rows(epoch, j, row, row + 1)
+                    nn.assert_all_finite(params.flat[row], "client parameters after a local step")
                 except nn.NonFiniteError as exc:
                     k = order[row]
                     exc.add_context(client=clients[k].client_id, batch=epoch * plan[k] + j)
@@ -341,8 +351,9 @@ def server_apply(
     state.momentum *= cfg.server_momentum
     state.momentum += g
     state.params.flat -= cfg.server_lr * state.momentum
-    for name, block in state.params.blocks.items():
-        nn.assert_all_finite(block, f"server parameter {name!r}")
+    if not np.isfinite(state.params.flat).all():
+        for name, block in state.params.blocks.items():
+            nn.assert_all_finite(block, f"server parameter {name!r}")
     state.round_index += 1
     return state
 
@@ -355,8 +366,194 @@ def _accuracy_weighted(per_client: list[tuple[float, int]]) -> float:
 def eval_batches(client: ClientDataset, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
     """The test batches ``evaluate`` scores for ``client``: its test set cut
     by ``ArchConfig.batch_slices``, as one batch on the non-personalized path."""
-    n = client.n_test
+    return _test_batches(client.n_test, cfg, arch)
+
+
+def _test_batches(n: int, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
     return arch.batch_slices(n, n if cfg.algorithm == "fedavg" else cfg.batch_size)
+
+
+EVAL_WORKSPACE_BYTES = 16 * 2**20
+"""The most memory ``evaluate`` keeps for its intermediates between calls. A
+call scores its clients in groups whose intermediates fit it; a client
+whose own do not is scored alone, in memory freed after the call."""
+
+_eval_workspace = np.empty(0)
+
+
+def _eval_phases(
+    arch: ArchConfig, fedvi: bool, support: int, query: int, batches: int
+) -> list[list[tuple[int, ...]]]:
+    """The shapes of ``evaluate``'s intermediates for a group of ``batches``
+    test batches of ``support`` support and ``query`` query rows in all (a
+    batch of the non-personalized path is all query rows). The first list
+    lives through the whole pass; each later list is one phase of it, over
+    once the next begins: the test rows (and, personalized, the rows as the
+    clients hold them) and the embedding's hidden layers, then two flat
+    slots that the constructor's layers take turns in, then the query rows'
+    posterior means and biases and their logits."""
+    rows = support + query
+    embedding = [(rows, arch.input_dim)] + [(rows, w) for w in arch.embed_widths[:-1]]
+    if not fedvi:
+        return [[(rows, arch.rep_dim), (rows, arch.num_classes)], embedding]
+    k = arch.num_classes
+    widths = (*arch.posterior_widths, arch.posterior_out_dim)
+    return [
+        [(rows, arch.rep_dim), (batches, arch.posterior_out_dim)],
+        embedding + [(rows, arch.input_dim)],
+        [(support * max(widths[0::2]),), (support * max(widths[1::2], default=0),)],
+        [(query, arch.beta_dim), (query, k), (query, k), (query, k)],
+    ]
+
+
+def _eval_words(phases: list[list[tuple[int, ...]]]) -> int:
+    """The float64 words ``_eval_views`` carves ``phases`` from."""
+    sizes = [sum(math.prod(shape) for shape in phase) for phase in phases]
+    return sizes[0] + max(sizes[1:])
+
+
+def _eval_views(phases: list[list[tuple[int, ...]]]) -> list[list[np.ndarray]]:
+    """Views of ``evaluate``'s workspace with the shapes of ``_eval_phases``,
+    carved in one step: the first phase's views are disjoint from all
+    others, and every later phase starts where the first ends. The
+    workspace grows to the largest group scored so far that fits
+    ``EVAL_WORKSPACE_BYTES``; a larger group gets a buffer of its own."""
+    global _eval_workspace
+    words = _eval_words(phases)
+    if words * _eval_workspace.itemsize > EVAL_WORKSPACE_BYTES:
+        buf = np.empty(words)
+    else:
+        if words > _eval_workspace.size:
+            _eval_workspace = np.empty(0)  # free the old buffer before making its successor
+            _eval_workspace = np.empty(words)
+        buf = _eval_workspace
+    kept = sum(math.prod(shape) for shape in phases[0])
+    views = []
+    for i, shapes in enumerate(phases):
+        start = 0 if i == 0 else kept
+        views.append([])
+        for shape in shapes:
+            size = math.prod(shape)
+            views[-1].append(buf[start : start + size].reshape(shape))
+            start += size
+    return views
+
+
+@dataclass
+class _EvalGroup:
+    """The part of one flat forward pass of ``evaluate`` that follows from
+    its clients' test-set sizes.
+
+    ``clients`` lists (client index, scored test rows), in order; the pass
+    reads those rows back to back, its raw rows. ``owner`` is the client of
+    each scored row (of each query row, personalized). Personalized only:
+    ``support`` holds each batch's support rows, in the pass's batch order;
+    ``order`` the raw row of each row of the pass; ``batch`` the batch of
+    each query row.
+    """
+
+    clients: list[tuple[int, int]]
+    owner: np.ndarray
+    phases: list[list[tuple[int, ...]]]
+    support: np.ndarray | None = None
+    order: np.ndarray | None = None
+    batch: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=8)
+def _eval_plan(
+    arch: ArchConfig, cfg: TrainConfig, budget: int, n_tests: tuple[int, ...]
+) -> list[_EvalGroup]:
+    """``evaluate``'s groups for clients of ``n_tests`` test rows: the
+    clients with a test batch, in order, grouped greedily so that each
+    group's intermediates fit ``budget`` bytes, a client that does not fit
+    alone a group of its own. Personalized, a group's rows go support halves
+    first, then query halves, each in one batch order, so the halves are
+    views; batches with fewer support rows go first, so that
+    ``construct_posterior`` sums one run of segments per support count.
+    Cached, since ``evaluate`` scores the same clients again and again; the
+    plans are read only, and their index arrays take 16 bytes a scored row."""
+    fedvi = cfg.algorithm == "fedvi"
+    sizes_of = {
+        k: [b.stop - b.start for b in _test_batches(n, cfg, arch)] for k, n in enumerate(n_tests)
+    }
+    # split_support_query's rule, int(support_fraction * size), per batch; a
+    # batch of the non-personalized path is all query rows
+    fraction = arch.support_fraction if fedvi else 0.0
+    totals = {
+        k: (sum(int(fraction * n) for n in sizes), sum(sizes), len(sizes))
+        for k, sizes in sizes_of.items()
+        if sizes
+    }
+
+    def phases(support: int, rows: int, batches: int) -> list[list[tuple[int, ...]]]:
+        return _eval_phases(arch, fedvi, support, rows - support, batches)
+
+    groups: list[tuple[list[int], tuple[int, int, int]]] = []
+    for k, client in totals.items():
+        if groups:
+            grown = tuple(a + b for a, b in zip(groups[-1][1], client))
+            if _eval_words(phases(*grown)) * 8 <= budget:
+                groups[-1][0].append(k)
+                groups[-1] = (groups[-1][0], grown)
+                continue
+        groups.append(([k], client))
+    plans = []
+    for ks, held in groups:
+        clients = [(k, totals[k][1]) for k in ks]
+        # A client's batches are the first rows of its test set, back to back.
+        sizes = np.array([n for k in ks for n in sizes_of[k]])
+        owner = np.repeat(ks, [totals[k][2] for k in ks])
+        if not fedvi:
+            plans.append(_EvalGroup(clients, np.repeat(owner, sizes), phases(*held)))
+            continue
+        support = (fraction * sizes).astype(np.int64)
+        rank = np.argsort(support, kind="stable")
+        first = (np.cumsum(sizes) - sizes)[rank]
+        support, query = support[rank], (sizes - support)[rank]
+        # each support half, then each query half, is a run of raw rows
+        runs = np.concatenate([support, query])
+        starts = np.concatenate([first, first + support]) - np.cumsum(runs) + runs
+        order = np.repeat(starts, runs) + np.arange(held[1])
+        batch = np.repeat(np.arange(rank.size), query)
+        plans.append(
+            _EvalGroup(clients, owner[rank][batch], phases(*held), support, order, batch)
+        )
+    return plans
+
+
+def _score_group(
+    params: FedVIParams,
+    fedvi: bool,
+    group: _EvalGroup,
+    tests: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Whether each scored row of ``group`` is classified right, from its
+    clients' scored test rows ``tests`` (x, y), in one flat forward pass
+    whose intermediates are views of the workspace."""
+    arch = params.arch
+    kept, embedding, *phases = _eval_views(group.phases)
+    x = embedding[0]
+    y = np.concatenate([y_te for _, y_te in tests])
+    if not fedvi:
+        np.concatenate([x_te for x_te, _ in tests], out=x)
+        logits = global_branch_logits(params, x, out=embedding[1:] + kept)
+        return logits.argmax(axis=1) == y
+    raw = embedding[-1]
+    np.concatenate([x_te for x_te, _ in tests], out=raw)
+    # _eval_plan's indices are in range: "clip" spares take's buffered copy
+    np.take(raw, group.order, axis=0, out=x, mode="clip")
+    s = group.order.size - group.batch.size
+    rep, g = kept
+    feats_global, feats_local = split_features(arch, embed(params, x, out=embedding[1:-1] + [rep]))
+    widths = (*arch.posterior_widths, arch.posterior_out_dim)
+    layers = [phases[0][i % 2][: s * w].reshape(s, w) for i, w in enumerate(widths)]
+    stats = construct_posterior(params, feats_global[:s], counts=group.support, out=layers + [g])
+    mean, bias, *out = phases[1]
+    np.take(stats.q.mean, group.batch, axis=0, out=mean, mode="clip")
+    np.take(stats.b_beta, group.batch, axis=0, out=bias, mode="clip")
+    logits = predict_logits(params, mean, bias, feats_global[s:], feats_local[s:], out)
+    return logits.argmax(axis=1) == y[group.order[s:]]
 
 
 def evaluate(
@@ -373,46 +570,46 @@ def evaluate(
     test set as one batch. Batches come from ``eval_batches``; clients with
     no test batch are excluded.
 
-    Every test batch of every scored client goes through one flat forward
-    pass with the shared weights: one embedding of all scored rows, one
+    Every test batch of a group of clients goes through one flat forward
+    pass with the shared weights: one embedding of all its rows, one
     constructor pass over all support rows with one segment per batch
     (``construct_posterior``'s segment form), and one classifier pass over
     all query rows, each row scored with its own batch's posterior mean.
     A batch's logits are thus those of its own forward pass up to rounding
-    in the last bit: the kernel a GEMM uses may depend on its row count, and
-    the row form's local term is not a GEMM. Forward passes only: no graph
-    node is built. Transient memory grows with the number of scored rows
-    and with ``posterior_out_dim`` = (2L + 1)K: about 1.1 KiB a row at
-    heterogeneous.cfg's K = 5, L = 4, and 11.1 KiB a row at K = 62, L = 8.
+    in the last bit: the kernel a GEMM uses for a row may depend on the row
+    count and on the row's place, and the row form's local term is not a
+    GEMM. Forward passes only: no graph node is built.
+
+    Every intermediate of one row per scored row (the test rows, the
+    embedding's layers, the constructor's layers, each query row's
+    posterior mean and bias, and the logits) is a view of one workspace
+    that lives as long as the process, and the groups and index arrays of
+    the last few client lists are cached (``_eval_plan``), so a warm call
+    allocates only arrays of one row per batch and label and index arrays
+    of at most 8 bytes a row, and touches no fresh page. The workspace
+    never grows past ``EVAL_WORKSPACE_BYTES`` (16 MiB): clients are scored
+    in groups of whole clients, in order, whose intermediates fit it, so
+    every shipped config is one group. ``evaluate`` returns no view of the
+    workspace, and it is not reentrant: two calls may not run at once, in
+    threads or from a callback.
     """
-    # A client's batches are the first rows of its test set, back to back.
-    sizes_of = [[b.stop - b.start for b in eval_batches(c, cfg, params.arch)] for c in clients]
-    scored = [k for k, sizes in enumerate(sizes_of) if sizes]
+    fedvi = cfg.algorithm == "fedvi"
+    groups = _eval_plan(
+        params.arch, cfg, EVAL_WORKSPACE_BYTES, tuple(c.n_test for c in clients)
+    )
+    scored = [k for group in groups for k, _ in group.clients]
     if not scored:
         return EvalResult(accuracy=float("nan"), excluded=len(clients))
-    tests = [(clients[k].test_arrays(), sum(sizes_of[k])) for k in scored]
-    x = np.concatenate([x_te[:n] for (x_te, _), n in tests])
-    y = np.concatenate([y_te[:n] for (_, y_te), n in tests])
-    sizes = np.array([size for k in scored for size in sizes_of[k]])
-    owner = np.repeat([k for k in scored for _ in sizes_of[k]], sizes)
-    if cfg.algorithm == "fedavg":
-        hit = global_branch_logits(params, x).argmax(axis=-1) == y
-    else:
-        arch = params.arch
-        # split_support_query's rule, int(support_fraction * size), per batch
-        support = (arch.support_fraction * sizes).astype(np.int64)
-        position = np.arange(x.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        query = position >= np.repeat(support, sizes)
-        feats_global, feats_local = split_features(arch, embed(params, x))
-        stats = construct_posterior(params, feats_global[~query], counts=support)
-        batch = np.repeat(np.arange(sizes.size), sizes - support)
-        logits = predict_logits(
-            params, stats.q.mean[batch], stats.b_beta[batch],
-            feats_global[query], feats_local[query],
-        )
-        owner, hit = owner[query], logits.argmax(axis=-1) == y[query]
-    correct = np.bincount(owner[hit], minlength=len(clients)).tolist()
-    seen = np.bincount(owner, minlength=len(clients)).tolist()
+    correct = seen = 0
+    for group in groups:
+        tests = []
+        for k, n in group.clients:
+            x_te, y_te = clients[k].test_arrays()
+            tests.append((x_te[:n], y_te[:n]))
+        hit = _score_group(params, fedvi, group, tests)
+        correct += np.bincount(group.owner[hit], minlength=len(clients))
+        seen += np.bincount(group.owner, minlength=len(clients))
+    correct, seen = correct.tolist(), seen.tolist()
     per_client = [(correct[k] / seen[k], clients[k].n_test) for k in scored]
     return EvalResult(accuracy=_accuracy_weighted(per_client), excluded=len(clients) - len(scored))
 

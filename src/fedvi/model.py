@@ -45,6 +45,7 @@ row with its own batch's weights.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -219,22 +220,28 @@ def init_params(arch: ArchConfig, rng: np.random.Generator) -> FedVIParams:
 
 
 def _mlp_forward(
-    blocks: list[np.ndarray], x: np.ndarray, acts: list[np.ndarray] | None = None
+    blocks: list[np.ndarray],
+    x: np.ndarray,
+    acts: list[np.ndarray] | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Dense layers with ReLU between them (none after the last).
 
     When ``acts`` is given, each layer's input is appended to it: all that
     ``_mlp_backward`` needs, since a ReLU's output is positive exactly
-    where its input is. ``x`` is [B x in] or a stack [C x B x in].
+    where its input is. ``x`` is [B x in] or a stack [C x B x in]. When
+    ``out`` is given, layer i writes its output into out[i], so the pass
+    makes no new array; the bits are the same either way.
     """
     n_layers = len(blocks) // 2
     h = x
     for i in range(n_layers):
         if acts is not None:
             acts.append(h)
-        h = h @ blocks[2 * i] + blocks[2 * i + 1]
+        h = np.matmul(h, blocks[2 * i], out=None if out is None else out[i])
+        h += blocks[2 * i + 1]
         if i < n_layers - 1:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -267,17 +274,21 @@ def _mlp_backward(
 
 
 def embed(
-    params: FedVIParams, x, acts: list[np.ndarray] | None = None
+    params: FedVIParams,
+    x,
+    acts: list[np.ndarray] | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Map raw inputs [B x input_dim] to representations [B x rep_dim]
-    (or a stack [C x B x input_dim] to [C x B x rep_dim])."""
+    (or a stack [C x B x input_dim] to [C x B x rep_dim]). ``acts`` and
+    ``out`` are ``_mlp_forward``'s, one ``out`` array per embedding layer."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3) or x.shape[-1] != params.arch.input_dim:
         raise nn.ShapeMismatchError(
             f"embed expects [B x {params.arch.input_dim}] or [C x B x "
             f"{params.arch.input_dim}], got {x.shape}"
         )
-    return _mlp_forward(params.theta_embed, x, acts)
+    return _mlp_forward(params.theta_embed, x, acts, out)
 
 
 def split_support_query(batch_size: int, support_fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,6 +339,7 @@ def construct_posterior(
     support_global: np.ndarray,
     acts: list[np.ndarray] | None = None,
     counts: np.ndarray | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> PosteriorStats:
     """Aggregate support rows into a diagonal Gaussian over local weights.
 
@@ -339,16 +351,21 @@ def construct_posterior(
 
     Segment form: with ``counts``, ``support_global`` is [S x G] holding
     consecutive segments of counts[i] rows, one per batch, and the posterior
-    has one row per segment. The MLP output rows go on a [segments x
-    longest x width] grid padded with -0.0 (x + -0.0 is x for every x),
-    which is summed over its rows and divided by the counts: each segment's
-    rows are added in order, as the row mean adds them. (``np.add.reduceat``
-    would add the first row to a pairwise sum of the rest.)
+    has one row per segment. Each run of segments of one count c is viewed
+    as a [segments x c x width] block of the MLP output and summed over its
+    rows, then divided by the counts: each segment's rows are added in
+    order, as the row mean adds them. (``np.add.reduceat`` would add the
+    first row to a pairwise sum of the rest.) Segments sorted by count make
+    one run per distinct count.
 
     Padded form: with ``counts`` and a stack [C x S x G], batch c's support
     is its first counts[c] rows and the rest is padding. The padding's
-    outputs become -0.0 on the same grid, so each posterior has the bits of
-    its real rows' mean.
+    outputs become -0.0 (x + -0.0 is x for every x) and the stack is summed
+    over its rows, so each posterior has the bits of its real rows' mean.
+
+    ``out`` holds ``_mlp_forward``'s arrays for the constructor's layers,
+    then one array for g, one row per posterior: with it, the segment form
+    allocates only arrays of one row per segment.
 
     The posterior starts at the prior because init_params shrinks the
     constructor's output layer by POSTERIOR_HEAD_INIT_SHRINK, not because of
@@ -362,29 +379,34 @@ def construct_posterior(
             f"support features must be [S x {arch.global_dim}] or [C x S x "
             f"{arch.global_dim}] with S >= 1, got {support_global.shape}"
         )
-    out = _mlp_forward(params.theta_post, support_global, acts)
+    rows = _mlp_forward(params.theta_post, support_global, acts, out and out[:-1])
+    g = None if out is None else out[-1]
     if counts is None:
-        g = out.mean(axis=-2)
+        g = rows.mean(axis=-2, out=g)
+    elif support_global.ndim == 2:
+        if counts.min() < 1 or counts.sum() != rows.shape[0]:
+            raise nn.ShapeMismatchError(
+                f"{counts.size} segments of {counts.sum()} rows in all (each >= 1) "
+                f"do not tile support features {support_global.shape}"
+            )
+        if g is None:
+            g = np.empty((counts.size, rows.shape[-1]))
+        first = row = 0
+        for count, run in itertools.groupby(counts.tolist()):
+            n = len(list(run))
+            block = rows[row : row + n * count].reshape(n, count, rows.shape[-1])
+            block.sum(axis=1, out=g[first : first + n])
+            first, row = first + n, row + n * count
+        g /= counts[:, None]
     else:
-        if support_global.ndim == 2:
-            if counts.min() < 1 or counts.sum() != out.shape[0]:
-                raise nn.ShapeMismatchError(
-                    f"{counts.size} segments of {counts.sum()} rows in all (each >= 1) "
-                    f"do not tile support features {support_global.shape}"
-                )
-            segment = np.repeat(np.arange(counts.size), counts)
-            position = np.arange(out.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
-            grid = np.full((counts.size, counts.max(), out.shape[-1]), -0.0)
-            grid[segment, position] = out
-        else:
-            if counts.shape != out.shape[:1] or counts.min() < 1 or counts.max() > out.shape[1]:
-                raise nn.ShapeMismatchError(
-                    f"support row counts {counts.tolist()} do not fit a padded stack "
-                    f"of shape {out.shape[:-1]}"
-                )
-            real = np.arange(out.shape[1]) < counts[:, None]
-            grid = np.where(real[..., None], out, -0.0)
-        g = grid.sum(axis=-2) / counts[:, None]
+        if counts.shape != rows.shape[:1] or counts.min() < 1 or counts.max() > rows.shape[1]:
+            raise nn.ShapeMismatchError(
+                f"support row counts {counts.tolist()} do not fit a padded stack "
+                f"of shape {rows.shape[:-1]}"
+            )
+        real = np.arange(rows.shape[1]) < counts[:, None]
+        grid = np.where(real[..., None], rows, -0.0)
+        g = np.divide(grid.sum(axis=-2), counts[:, None], out=g)
     m = arch.beta_dim
     mu = arch.mean_damp * g[..., :m]
     scale_exp = np.exp(arch.logscale_damp * g[..., m : 2 * m])
@@ -429,6 +451,7 @@ def predict_logits(
     b_beta: np.ndarray,
     query_global: np.ndarray,
     query_local: np.ndarray,
+    out: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Local branch reshape(beta, [K, L]) . local + global classifier + biases.
 
@@ -440,6 +463,9 @@ def predict_logits(
     Row form: ``beta`` [Q x m] and ``b_beta`` [Q x K] give each of the
     [Q x L] query rows its own local weights, as a flat pass over the query
     halves of many batches needs; the global classifier still runs once.
+
+    ``out``, when given, is two arrays of the logits' shape: the logits are
+    written into out[0] and the global classifier's into out[1].
     """
     arch = params.arch
     per_batch = beta.shape == query_local.shape[:-2] + (arch.beta_dim,)
@@ -450,24 +476,31 @@ def predict_logits(
             f"{query_local.shape}, got {beta.shape}"
         )
     weights = beta.reshape(beta.shape[:-1] + (arch.num_classes, arch.local_dim))
+    logits = None if out is None else out[0]
     if per_batch:
-        local = query_local @ weights.swapaxes(-1, -2)
+        logits = np.matmul(query_local, weights.swapaxes(-1, -2), out=logits)
         b_beta = b_beta[..., None, :]
     else:
-        local = np.einsum("ql,qkl->qk", query_local, weights)
-    return local + _mlp_forward(params.theta_cls, query_global) + b_beta
+        logits = np.einsum("ql,qkl->qk", query_local, weights, out=logits)
+    logits += _mlp_forward(params.theta_cls, query_global, out=out and out[1:])
+    logits += b_beta
+    return logits
 
 
 def global_branch_logits(
-    params: FedVIParams, x, acts: list[np.ndarray] | None = None
+    params: FedVIParams,
+    x,
+    acts: list[np.ndarray] | None = None,
+    out: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Global classifier on global features only (the non-personalized path).
 
     ``acts`` collects the layer inputs of the embedding and then of the
-    classifier, as in ``_mlp_forward``.
+    classifier, and ``out`` holds their layer outputs, as in ``_mlp_forward``.
     """
-    feats_global, _ = split_features(params.arch, embed(params, x, acts))
-    return _mlp_forward(params.theta_cls, feats_global, acts)
+    rep = embed(params, x, acts, out=out and out[:-1])
+    feats_global, _ = split_features(params.arch, rep)
+    return _mlp_forward(params.theta_cls, feats_global, acts, out and out[-1:])
 
 
 @dataclass

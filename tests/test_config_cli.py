@@ -72,6 +72,14 @@ class TestParseConfig:
         rendered = cfg.render()
         assert "client_lr = " in rendered and "scale_floor = " in rendered
 
+    def test_xdevice_cfg_has_femnist_shape(self):
+        # thousands of small clients and 62 classes; parsed only, since
+        # generating it takes about 0.4 GB
+        cfg = parse_config(CONFIGS / "xdevice.cfg")
+        assert (cfg.gen.c, cfg.gen.holdout_count, cfg.gen.n_range) == (3500, 350, (100, 350))
+        assert (cfg.gen.num_classes, cfg.arch.posterior_out_dim) == (62, 1054)
+        assert (cfg.train.cohort_size, cfg.train.batch_size) == (50, 32)
+
     def test_unknown_key_names_key_and_line(self):
         text = "[train]\nrounds = 5\nwarmup = 3\n"
         with pytest.raises(ConfigError, match=r":3: unknown key 'train.warmup'"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,26 @@ class TestLockstepCohort:
             client_update(params, clients, cfg, rngs)
         assert info.value.context == {"client": clients[1].client_id, "batch": 0}
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_gradient_names_first_failing_client_fedavg(self):
+        # the same cohort on the global branch with rows of 1e308: the loss
+        # stays finite and the gradient does not, so the failure shows only
+        # in the updated rows; clients[1] has a single batch and never steps
+        # again, clients[2] fails at its next step
+        arch = small_arch()
+        clients = ragged_clients(substream(42, 0), arch, [24, 5, 16, 16], [0] * 4)
+        cfg = make_cfg(batch_size=8, algorithm="fedavg")
+        rngs = [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in clients]
+        for client, batch in [(clients[0], 1), (clients[1], 0), (clients[2], 0)]:
+            perm = substream(cfg.seed, DOMAIN_CLIENT, 1, client.client_id).permutation(
+                client.n_train
+            )
+            client.x[perm[8 * batch : 8 * batch + 8]] = 1e308
+        params = init_params(arch, substream(42, 1))
+        with pytest.raises(nn.NonFiniteError, match="client parameters after a local step") as info:
+            client_update(params, clients, cfg, rngs)
+        assert info.value.context == {"client": clients[1].client_id, "batch": 0}
+
 
 class TestMinBatch:
     @pytest.mark.parametrize("fraction", [0.5, 0.4, 0.25, 0.1, 1 / 3, 0.9])
@@ -626,15 +647,60 @@ class TestMinBatch:
             run_training(make_cfg(rounds=1, cohort_size=2), arch, ds)
 
 
+def workspace_bytes(arch, cfg, clients) -> list[int]:
+    """The workspace each scored client of ``clients`` needs alone."""
+    fedvi = cfg.algorithm == "fedvi"
+    needs = []
+    for client in clients:
+        sizes = [b.stop - b.start for b in federation.eval_batches(client, cfg, arch)]
+        support = sum(int(arch.support_fraction * n) for n in sizes) if fedvi else 0
+        if sizes:
+            phases = federation._eval_phases(arch, fedvi, support, sum(sizes) - support, len(sizes))
+            needs.append(8 * federation._eval_words(phases))
+    return needs
+
+
+def count_groups(monkeypatch) -> list[int]:
+    """A list that gains an entry for every group ``evaluate`` scores."""
+    groups = []
+    score_group = federation._score_group
+
+    def counted(*args):
+        groups.append(1)
+        return score_group(*args)
+
+    monkeypatch.setattr(federation, "_score_group", counted)
+    return groups
+
+
+@pytest.fixture
+def fresh_workspace(monkeypatch):
+    """An empty evaluate workspace, the process's own put back afterwards."""
+    monkeypatch.setattr(federation, "_eval_workspace", np.empty(0))
+
+
 class TestStackedEvaluate:
-    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
-    def test_equals_per_batch_scoring(self, algorithm):
+    @pytest.mark.parametrize(
+        "algorithm, one_client_groups",
+        [
+            pytest.param(a, one, id=a + ("-one-client-groups" if one else ""))
+            for one in (False, True)
+            for a in ("fedvi", "fedavg")
+        ],
+    )
+    def test_equals_per_batch_scoring(self, algorithm, one_client_groups, monkeypatch):
         # batch size 8: a size-1 tail (17 test examples, skipped), a client
-        # with one test example (excluded), tails of 5, equal test set sizes
+        # with one test example (excluded), tails of 5, equal test set sizes;
+        # at a budget that holds only the smallest client, no two clients
+        # share a group and every other client is scored in its own buffer
         arch = small_arch()
         clients = ragged_clients(substream(43, 0), arch, [3] * 6, [17, 1, 13, 21, 6, 13])
         cfg = make_cfg(batch_size=8, algorithm=algorithm)
         params = init_params(arch, substream(43, 1))
+        groups = count_groups(monkeypatch)
+        if one_client_groups:
+            budget = min(workspace_bytes(arch, cfg, clients))
+            monkeypatch.setattr(federation, "EVAL_WORKSPACE_BYTES", budget)
         per_client = []
         for client in clients:
             x, y = client.test_arrays()
@@ -655,6 +721,7 @@ class TestStackedEvaluate:
         res = evaluate(params, clients, cfg)
         assert res.excluded == 1 == len(clients) - len(per_client)
         assert res.accuracy == _accuracy_weighted(per_client)
+        assert len(groups) == (len(per_client) if one_client_groups else 1)
 
     @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
     @pytest.mark.parametrize(
@@ -677,15 +744,78 @@ class TestStackedEvaluate:
         shapes = []
         original = model.embed
 
-        def embed(params, x, acts=None):
+        def embed(params, x, acts=None, **kwargs):
             shapes.append(np.shape(x))
-            return original(params, x, acts)
+            return original(params, x, acts, **kwargs)
 
         monkeypatch.setattr(model, "embed", embed)  # global_branch_logits's
         monkeypatch.setattr(federation, "embed", embed)
         evaluate(params, clients, make_cfg(batch_size=8, algorithm=algorithm))
         assert len(shapes) == 1 and len(shapes[0]) == 2
         assert shapes[0][0] == rows
+
+    def test_warm_call_allocates_no_row_intermediates(self):
+        # heterogeneous.cfg's participating clients at init parameters: a
+        # warm call writes its intermediates into the workspace (about 2 MiB
+        # when each call allocated them)
+        cfg = parse_config(CONFIGS / "heterogeneous.cfg")
+        ds, _ = generate_hierarchical(cfg.gen)
+        params = init_server(cfg.arch, cfg.train.seed).params
+        clients = ds.participating_clients()
+        evaluate(params, clients, cfg.train)
+        tracemalloc.start()
+        try:
+            evaluate(params, clients, cfg.train)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    def test_memory_stays_within_the_budget(self, algorithm, monkeypatch):
+        # at a budget that holds the largest client alone and no two
+        # neighbours, a call from an empty workspace peaks at the budget plus
+        # a constant: numpy's ufunc buffer (12 KiB), arrays of one row per
+        # batch, index arrays of one group's rows, the batch lists
+        arch = small_arch()
+        clients = ragged_clients(substream(45, 0), arch, [3] * 12, [200, 64, 150] * 4)
+        cfg = make_cfg(batch_size=8, algorithm=algorithm)
+        params = init_params(arch, substream(45, 1))
+        budget = max(workspace_bytes(arch, cfg, clients))
+        whole = evaluate(params, clients, cfg)
+        monkeypatch.setattr(federation, "_eval_workspace", np.empty(0))
+        monkeypatch.setattr(federation, "EVAL_WORKSPACE_BYTES", budget)
+        groups = count_groups(monkeypatch)
+        tracemalloc.start()
+        try:
+            grouped = evaluate(params, clients, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grouped == whole
+        assert len(groups) == len(clients)
+        assert federation._eval_workspace.nbytes == budget
+        assert budget < peak < budget + 64 * 1024
+
+    def test_interleaved_calls_equal_fresh_ones(self, fresh_workspace, monkeypatch):
+        # neither the workspace nor the cached plans carry anything from one
+        # call to the next: calls on two client lists of different sizes,
+        # for both algorithms, in turn, against calls from an empty
+        # workspace and an empty plan cache
+        ds = make_ds(seed=11, c=12, holdout=4, n=(40, 90))
+        params = init_params(small_arch(), substream(46, 1))
+        calls = [
+            (clients, make_cfg(batch_size=8, algorithm=algorithm))
+            for algorithm in ("fedvi", "fedavg")
+            for clients in (ds.participating_clients(), ds.holdout_clients())
+        ]
+        interleaved = [evaluate(params, clients, cfg) for clients, cfg in calls * 2]
+        fresh = []
+        for clients, cfg in calls:
+            monkeypatch.setattr(federation, "_eval_workspace", np.empty(0))
+            federation._eval_plan.cache_clear()
+            fresh.append(evaluate(params, clients, cfg))
+        assert interleaved == fresh * 2
 
 
 class TestTrainConfigValidation:
