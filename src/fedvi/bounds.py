@@ -162,6 +162,16 @@ class SyntheticTask:
     truth: GroundTruth
     n_per_client: list[int]
 
+    def clients(self, ks: list[int]) -> "SyntheticTask":
+        """The clients ``ks`` alone: the same ``cfg`` and shared predictor,
+        their effects, input shifts and sizes."""
+        truth = self.truth
+        return SyntheticTask(
+            self.cfg,
+            GroundTruth(truth.theta, [truth.betas[k] for k in ks], [truth.shifts[k] for k in ks]),
+            [self.n_per_client[k] for k in ks],
+        )
+
 
 def synthetic_task(cfg: GenConfig) -> tuple[FederatedDataset, SyntheticTask]:
     ds, truth = generate_hierarchical(cfg)
@@ -254,12 +264,15 @@ def estimate_slack(
 ) -> float:
     """Monte-Carlo estimate of log((1/delta) E_data E_prior exp(eta * gap)).
 
-    The gap is true total risk minus empirical total risk for a hypothesis
-    drawn from ``prior`` in the generator's own predictor family (shared
-    matrix fixed at the task's ground truth, per-client effects sampled
-    from the prior). True risks use an exact inner expectation over labels
-    on a large fresh input pool; empirical risks use freshly sampled
-    datasets of the task's per-client sizes.
+    The gap is true total risk minus empirical total risk, over the task's
+    clients, for a hypothesis drawn from ``prior`` in the generator's own
+    predictor family (shared matrix fixed at the task's ground truth,
+    per-client effects sampled from the prior). True risks use an exact
+    inner expectation over labels on a large fresh input pool; empirical
+    risks use freshly sampled datasets of the task's per-client sizes.
+    ``fedvi bound`` passes only the clients it audits
+    (``SyntheticTask.clients``), so the slack covers the rows that the
+    empirical risk and the KL cover.
 
     Each client's hypotheses become class-major weights w [K x d x S]
     once, so rows x score as one ``x @ w`` into K x rows x S logits. The

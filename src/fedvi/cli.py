@@ -242,7 +242,7 @@ def _check_evaluable(
         ("participating", ds.participating_clients()),
         ("holdout", ds.holdout_clients()),
     ):
-        if clients and not any(eval_batches(c, cfg, arch) for c in clients):
+        if clients and not any(eval_batches(c.n_test, cfg, arch) for c in clients):
             raise ConfigError(
                 f"no {group} client has a test batch of ArchConfig.min_batch = "
                 f"{arch.min_batch} rows to evaluate"
@@ -402,7 +402,7 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
     kl_total = sum(a.kl for a in audits.values())
 
     slack_scaled = bounds_mod.estimate_slack(
-        task,
+        task.clients(list(audits)),  # a generated client's id is its index
         bounds_mod.generator_prior(task),
         cfg.pac.eta,
         cfg.pac.delta,

@@ -363,14 +363,11 @@ def _accuracy_weighted(per_client: list[tuple[float, int]]) -> float:
     return sum(a * w for a, w in per_client) / wsum
 
 
-def eval_batches(client: ClientDataset, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
-    """The test batches ``evaluate`` scores for ``client``: its test set cut
-    by ``ArchConfig.batch_slices``, as one batch on the non-personalized path."""
-    return _test_batches(client.n_test, cfg, arch)
-
-
-def _test_batches(n: int, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
-    return arch.batch_slices(n, n if cfg.algorithm == "fedavg" else cfg.batch_size)
+def eval_batches(n_test: int, cfg: TrainConfig, arch: ArchConfig) -> list[slice]:
+    """The test batches ``evaluate`` scores for a client of ``n_test`` test
+    rows: its test set cut by ``ArchConfig.batch_slices``, as one batch on
+    the non-personalized path."""
+    return arch.batch_slices(n_test, n_test if cfg.algorithm == "fedavg" else cfg.batch_size)
 
 
 EVAL_WORKSPACE_BYTES = 16 * 2**20
@@ -475,13 +472,11 @@ def _eval_plan(
     plans are read only, and their index arrays take 16 bytes a scored row."""
     fedvi = cfg.algorithm == "fedvi"
     sizes_of = {
-        k: [b.stop - b.start for b in _test_batches(n, cfg, arch)] for k, n in enumerate(n_tests)
+        k: [b.stop - b.start for b in eval_batches(n, cfg, arch)] for k, n in enumerate(n_tests)
     }
-    # split_support_query's rule, int(support_fraction * size), per batch; a
-    # batch of the non-personalized path is all query rows
-    fraction = arch.support_fraction if fedvi else 0.0
+    # a batch of the non-personalized path is all query rows
     totals = {
-        k: (sum(int(fraction * n) for n in sizes), sum(sizes), len(sizes))
+        k: (sum(map(arch.support_size, sizes)) if fedvi else 0, sum(sizes), len(sizes))
         for k, sizes in sizes_of.items()
         if sizes
     }
@@ -507,7 +502,7 @@ def _eval_plan(
         if not fedvi:
             plans.append(_EvalGroup(clients, np.repeat(owner, sizes), phases(*held)))
             continue
-        support = (fraction * sizes).astype(np.int64)
+        support = arch.support_size(sizes)
         rank = np.argsort(support, kind="stable")
         first = (np.cumsum(sizes) - sizes)[rank]
         support, query = support[rank], (sizes - support)[rank]

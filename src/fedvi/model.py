@@ -47,6 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,8 +95,11 @@ class ArchConfig:
                 f"local_dim {self.local_dim} + global_dim {self.global_dim} "
                 f"!= representation size {self.embed_widths[-1]}"
             )
-        if not 0.0 < self.support_fraction < 1.0:
-            raise ValueError(f"support_fraction must be in (0,1), got {self.support_fraction}")
+        # below the least normal float, 1 / support_fraction is inf: no batch splits
+        if not sys.float_info.min <= self.support_fraction < 1.0:
+            raise ValueError(
+                f"support_fraction must be in (0,1) and a normal float, got {self.support_fraction}"
+            )
         if self.scale_floor <= 0.0:
             raise ValueError("scale_floor must be positive")
 
@@ -115,13 +119,22 @@ class ArchConfig:
     def prior_scale(self) -> float:
         return glorot_scale(self.local_dim, self.num_classes)
 
+    def support_size(self, sizes: int | np.ndarray) -> int | np.ndarray:
+        """int(support_fraction * size), the support rows of a batch of
+        ``sizes`` rows (elementwise for an int array); the rest are query
+        rows. Every support/query split is cut by this rule alone."""
+        if isinstance(sizes, np.ndarray):
+            return (self.support_fraction * sizes).astype(np.int64)
+        return int(self.support_fraction * sizes)
+
     @functools.cached_property
     def min_batch(self) -> int:
-        """The smallest batch ``split_support_query`` accepts: 2 at a
-        support fraction of 0.5, more below it. Smaller batches are dropped."""
+        """The smallest batch ``forward_batch`` accepts: 2 at a support
+        fraction of 0.5, more below it. Smaller batches are dropped."""
         size = max(2, math.floor(1.0 / self.support_fraction))
-        while int(self.support_fraction * size) < 1:
-            size += 1
+        while self.support_size(size) < 1:
+            # past 2**53 rows a step of 1 can leave the float product unchanged
+            size = max(size + 1, math.floor(math.nextafter(size, math.inf)))
         return size
 
     def batch_slices(self, n: int, size: int) -> list[slice]:
@@ -291,25 +304,14 @@ def embed(
     return _mlp_forward(params.theta_embed, x, acts, out)
 
 
-def split_support_query(batch_size: int, support_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """First floor(fraction * B) indices are support, the rest query."""
-    support = int(support_fraction * batch_size)
-    if support < 1 or batch_size - support < 1:
-        raise ValueError(
-            f"batch of {batch_size} cannot give nonempty support and query halves"
-        )
-    idx = np.arange(batch_size)
-    return idx[:support], idx[support:]
-
-
 def padded_slots(arch: ArchConfig, size: int, width: int) -> np.ndarray:
     """The slots of a batch of ``size`` rows in a padded batch of ``width``:
-    its int(fraction * size) support rows go first in the support slots
-    [0, int(fraction * width)), its query rows first in the query slots
+    its support rows (``ArchConfig.support_size``) go first in the support
+    slots [0, support_size(width)), its query rows first in the query slots
     that follow. The other slots are padding."""
-    support = int(arch.support_fraction * size)
+    support = arch.support_size(size)
     rows = np.arange(size)
-    return np.where(rows < support, rows, rows + int(arch.support_fraction * width) - support)
+    return np.where(rows < support, rows, rows + arch.support_size(width) - support)
 
 
 def split_features(arch: ArchConfig, rep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -540,7 +542,8 @@ class BatchForward:
 
 
 def forward_batch(params: FedVIParams, x, sizes: np.ndarray | None = None) -> BatchForward:
-    """Embed, split support/query and features, rebuild the posterior.
+    """Embed, split support/query (``ArchConfig.support_size``; a
+    ValueError if a half is empty) and features, rebuild the posterior.
 
     With ``sizes``, ``x`` is a padded stack [C x B x d]: batch c has
     sizes[c] real rows, laid out by ``padded_slots``, and its posterior is
@@ -548,13 +551,15 @@ def forward_batch(params: FedVIParams, x, sizes: np.ndarray | None = None) -> Ba
     """
     arch = params.arch
     x = np.asarray(x, dtype=np.float64)
-    support, _ = split_support_query(x.shape[-2], arch.support_fraction)
-    s = support.size
+    batch = x.shape[-2]
+    s = arch.support_size(batch)
+    if s < 1 or batch - s < 1:
+        raise ValueError(f"batch of {batch} cannot give nonempty support and query halves")
     support_counts = query_counts = None
     if sizes is not None:
         if x.ndim != 3:
             raise nn.ShapeMismatchError(f"a padded batch must be a stack, got {x.shape}")
-        support_counts = (arch.support_fraction * sizes).astype(np.int64)
+        support_counts = arch.support_size(sizes)
         query_counts = sizes - support_counts
     embed_acts: list[np.ndarray] = []
     post_acts: list[np.ndarray] = []

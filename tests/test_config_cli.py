@@ -869,6 +869,30 @@ class TestClientsTooSmallToSplit:
         # draw data only for the clients it audits
         assert audited == sizes + (3 * large if check else [])
 
+    def test_slack_covers_only_the_audited_clients(self, params_path, tmp_path, monkeypatch):
+        from fedvi.datagen import generate_hierarchical
+
+        tasks = []
+        original = bounds.estimate_slack
+
+        def estimate_slack(task, *rest):
+            tasks.append(task)
+            return original(task, *rest)
+
+        monkeypatch.setattr(bounds, "estimate_slack", estimate_slack)
+        cfg, code = self.bound(tmp_path, params_path, [], n_max=3)
+        assert code == cli.EXIT_OK
+        ds, truth = generate_hierarchical(parse_config(cfg).gen)
+        kept = [k for k, c in enumerate(ds.clients) if c.n >= 2]
+        assert 0 < len(kept) < len(ds.clients)
+        (task,) = tasks
+        assert task.n_per_client == [ds.clients[k].n for k in kept]
+        assert np.array_equal(task.truth.theta, truth.theta)
+        for got, k in zip(task.truth.betas, kept, strict=True):
+            assert np.array_equal(got, truth.betas[k])
+        for got, k in zip(task.truth.shifts, kept, strict=True):
+            assert np.array_equal(got, truth.shifts[k])
+
     @pytest.mark.parametrize("check", [[], ["--check"]])
     def test_no_client_large_enough_is_a_config_error(self, check, params_path, tmp_path, capsys):
         _, code = self.bound(tmp_path, params_path, check, n_max=1)

@@ -28,7 +28,6 @@ from fedvi.model import (
     forward_batch,
     global_branch_logits,
     init_params,
-    split_support_query,
 )
 from fedvi.seeding import DOMAIN_CLIENT, substream
 
@@ -594,11 +593,13 @@ class TestLockstepCohort:
 class TestMinBatch:
     @pytest.mark.parametrize("fraction", [0.5, 0.4, 0.25, 0.1, 1 / 3, 0.9])
     def test_is_the_smallest_batch_the_split_accepts(self, fraction):
-        size = small_arch(support_fraction=fraction).min_batch
-        split_support_query(size, fraction)
+        arch = small_arch(support_fraction=fraction)
+        params = init_params(arch, substream(0, 0))
+        size = arch.min_batch
+        forward_batch(params, np.zeros((size, arch.input_dim)))
         for smaller in range(1, size):
             with pytest.raises(ValueError):
-                split_support_query(smaller, fraction)
+                forward_batch(params, np.zeros((smaller, arch.input_dim)))
 
     def test_tail_below_it_is_dropped_in_training_and_evaluation(self):
         # at support fraction 0.4 a batch of 2 has no support row: with
@@ -652,8 +653,8 @@ def workspace_bytes(arch, cfg, clients) -> list[int]:
     fedvi = cfg.algorithm == "fedvi"
     needs = []
     for client in clients:
-        sizes = [b.stop - b.start for b in federation.eval_batches(client, cfg, arch)]
-        support = sum(int(arch.support_fraction * n) for n in sizes) if fedvi else 0
+        sizes = [b.stop - b.start for b in federation.eval_batches(client.n_test, cfg, arch)]
+        support = sum(map(arch.support_size, sizes)) if fedvi else 0
         if sizes:
             phases = federation._eval_phases(arch, fedvi, support, sum(sizes) - support, len(sizes))
             needs.append(8 * federation._eval_words(phases))

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvi import nn
 from fedvi.distributions import glorot_scale
@@ -20,7 +24,6 @@ from fedvi.model import (
     padded_slots,
     predict_logits,
     split_features,
-    split_support_query,
 )
 from fedvi.seeding import substream
 
@@ -64,23 +67,31 @@ class TestEmbed:
             embed(tiny_params, rng.standard_normal((3, 9)))
 
 
+def halves(arch: ArchConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support and query rows of a batch of ``n`` rows."""
+    s = arch.support_size(n)
+    return np.arange(s), np.arange(s, n)
+
+
 class TestSplits:
-    def test_half_split_of_256(self):
-        support, query = split_support_query(256, 0.5)
+    def test_half_split_of_256(self, tiny_params, rng):
+        support, query = halves(tiny_params.arch, 256)
         assert np.array_equal(support, np.arange(128))
         assert np.array_equal(query, np.arange(128, 256))
+        fwd = forward_batch(tiny_params, rng.standard_normal((256, 5)))
+        assert fwd.support_size == 128 and fwd.query_local.shape[0] == 128
 
-    def test_floor_rule_on_odd_batch(self):
-        support, query = split_support_query(3, 0.5)
+    def test_floor_rule_on_odd_batch(self, tiny_params):
+        support, query = halves(tiny_params.arch, 3)
         assert support.size == 1 and query.size == 2
 
-    def test_minimal_batch(self):
-        support, query = split_support_query(2, 0.5)
+    def test_minimal_batch(self, tiny_params):
+        support, query = halves(tiny_params.arch, 2)
         assert support.size == 1 and query.size == 1
 
-    def test_batch_of_one_rejected(self):
+    def test_batch_of_one_rejected(self, tiny_params, rng):
         with pytest.raises(ValueError):
-            split_support_query(1, 0.5)
+            forward_batch(tiny_params, rng.standard_normal((1, 5)))
 
     def test_feature_columns(self, rng):
         arch = ArchConfig(
@@ -102,6 +113,73 @@ class TestSplits:
         feats_global, feats_local = split_features(arch, rep)
         assert np.array_equal(feats_global, rep[:, :1])
         assert np.array_equal(feats_local, rep[:, 1:])
+
+
+# every support fraction ArchConfig accepts; below the least normal float
+# no batch can split
+FRACTIONS = st.floats(sys.float_info.min, 1.0, exclude_max=True)
+BATCH_SIZES = st.integers(1, 64)
+
+
+class TestSupportRule:
+    """``ArchConfig.support_size`` is the one support/query rule; the batch
+    cut, the padded layout and the forward pass all follow it."""
+
+    @given(FRACTIONS, BATCH_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_floor_rule_for_ints_and_arrays(self, fraction, n):
+        arch = small_arch(support_fraction=fraction)
+        assert arch.support_size(n) == int(fraction * n)
+        assert type(arch.support_size(n)) is int
+        sizes = np.arange(1, 65)
+        got = arch.support_size(sizes)
+        assert got.dtype == np.int64
+        assert got.tolist() == [int(fraction * m) for m in sizes.tolist()]
+
+    @given(FRACTIONS, st.integers(0, 256), BATCH_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_min_batch_is_the_smallest_split(self, fraction, rows, size):
+        arch = small_arch(support_fraction=fraction)
+        m = arch.min_batch
+        assert arch.support_size(m) >= 1 and m - arch.support_size(m) >= 1
+        for n in range(1, 65):
+            s = arch.support_size(n)
+            assert (s >= 1 and n - s >= 1) == (n >= m), n
+        cuts = arch.batch_slices(rows, size)
+        assert all(cut.stop - cut.start >= m for cut in cuts)
+        assert [cut.start for cut in cuts] == list(range(0, len(cuts) * size, size))
+
+    @given(FRACTIONS, BATCH_SIZES, BATCH_SIZES)
+    @settings(max_examples=200, deadline=None)
+    def test_padded_slots_place_the_support_rows(self, fraction, a, b):
+        arch = small_arch(support_fraction=fraction)
+        n, width = min(a, b), max(a, b)
+        s = arch.support_size(n)
+        slots = padded_slots(arch, n, width)
+        below = slots < arch.support_size(width)
+        assert below.sum() == s
+        assert np.array_equal(below, np.arange(n) < s)
+        assert np.unique(slots).size == n and 0 <= slots.min() and slots.max() < width
+
+    @given(FRACTIONS)
+    @settings(max_examples=100, deadline=None)
+    def test_forward_batch_rejects_a_batch_below_min_batch(self, fraction):
+        arch = small_arch(support_fraction=fraction)
+        params = zero_params(arch)
+        rows = min(arch.min_batch - 1, 64)
+        with pytest.raises(ValueError, match="nonempty support and query halves"):
+            forward_batch(params, np.zeros((rows, arch.input_dim)))
+        if arch.min_batch <= 64:
+            fwd = forward_batch(params, np.zeros((arch.min_batch, arch.input_dim)))
+            assert fwd.support_size == arch.support_size(arch.min_batch)
+
+    def test_tiny_fractions(self):
+        # below 2**-53 a step of one row can leave fraction * rows unchanged
+        for fraction in (1e-17, 1e-300, sys.float_info.min):
+            arch = small_arch(support_fraction=fraction)
+            assert arch.support_size(arch.min_batch) == 1
+        with pytest.raises(ValueError, match="normal float"):
+            small_arch(support_fraction=sys.float_info.min / 2)
 
 
 class TestConstructPosterior:
@@ -333,7 +411,7 @@ class TestMinibatchLoss:
 
     def test_support_labels_are_never_read(self, tiny_params, rng):
         x, y, noise = batch_for(tiny_params.arch, rng)
-        support, _ = split_support_query(x.shape[0], tiny_params.arch.support_fraction)
+        support, _ = halves(tiny_params.arch, x.shape[0])
         garbled = y.copy()
         garbled[support] = (garbled[support] + 1) % tiny_params.arch.num_classes
         loss_a, parts_a = minibatch_loss(tiny_params, x, y, 0.3, noise)
@@ -344,9 +422,7 @@ class TestMinibatchLoss:
 
     def test_query_permutation_leaves_loss_unchanged(self, tiny_params, rng):
         x, y, noise = batch_for(tiny_params.arch, rng)
-        support, query = split_support_query(
-            x.shape[0], tiny_params.arch.support_fraction
-        )
+        support, query = halves(tiny_params.arch, x.shape[0])
         perm = rng.permutation(query.size)
         x2, y2 = x.copy(), y.copy()
         x2[query] = x[query][perm]
@@ -358,7 +434,7 @@ class TestMinibatchLoss:
     def test_support_permutation_leaves_posterior_unchanged(self, tiny_params, rng):
         arch = tiny_params.arch
         x = rng.standard_normal((8, arch.input_dim))
-        support, _ = split_support_query(8, arch.support_fraction)
+        support, _ = halves(arch, 8)
         x2 = x.copy()
         x2[support] = x[support][rng.permutation(support.size)]
         a = forward_batch(tiny_params, x).stats
@@ -405,7 +481,7 @@ class TestHandDerivedBackwardEdges:
         arch = small_arch(mean_damp=1.0, logscale_damp=1.0)
         params = randomized_params(arch, rng)
         x, y, noise = batch_for(arch, rng, batch=batch)
-        assert split_support_query(batch, arch.support_fraction)[0].size == 1
+        assert arch.support_size(batch) == 1
         grads, errs = fd_errors(params, lambda: minibatch_loss(params, x, y, 0.5, noise)[0])
         assert len(grads) == len(params.blocks)
         assert max(errs.values()) < 1e-4, errs
