@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datagen import (
-    FederatedDataset,
-    GenConfig,
-    GroundTruth,
-    _sample_categorical_rows,
-    generate_hierarchical,
-    softmax_rows,
-)
+from .datagen import GroundTruth, sample_labels
 from .distributions import DiagGaussian, kl_diag, standard_prior
 from .federation import TrainConfig, iter_local_batches
 from .model import FedVIParams, _mlp_forward, embed, forward_batch, minibatch_loss, split_features
@@ -149,49 +142,11 @@ def scaled_log_moment(gaps: np.ndarray, delta: float) -> float:
     return math.log(1.0 / delta) + m + math.log(float(np.mean(np.exp(g - m))))
 
 
-@dataclass
-class SyntheticTask:
-    """A fixed draw of the generator's client-level process.
-
-    Holds everything needed to sample fresh datasets from the same client
-    population and to compute risks exactly: the shared predictor, the
-    per-client effects and input shifts, and the per-client sample counts.
-    """
-
-    cfg: GenConfig
-    truth: GroundTruth
-    n_per_client: list[int]
-
-    def clients(self, ks: list[int]) -> "SyntheticTask":
-        """The clients ``ks`` alone: the same ``cfg`` and shared predictor,
-        their effects, input shifts and sizes."""
-        truth = self.truth
-        return SyntheticTask(
-            self.cfg,
-            GroundTruth(truth.theta, [truth.betas[k] for k in ks], [truth.shifts[k] for k in ks]),
-            [self.n_per_client[k] for k in ks],
-        )
-
-
-def synthetic_task(cfg: GenConfig) -> tuple[FederatedDataset, SyntheticTask]:
-    ds, truth = generate_hierarchical(cfg)
-    return ds, SyntheticTask(cfg=cfg, truth=truth, n_per_client=[c.n for c in ds.clients])
-
-
-def generator_prior(task: SyntheticTask) -> DiagGaussian:
+def generator_prior(task: GroundTruth) -> DiagGaussian:
     """The generator's own prior over per-client effects (flattened)."""
     dim = task.cfg.d * task.cfg.num_classes
     scale = task.cfg.sigma_beta if task.cfg.sigma_beta > 0 else 1.0
     return standard_prior(dim, scale)
-
-
-def draw_client_inputs(
-    task: SyntheticTask, k: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh inputs for client k plus the exact label conditionals."""
-    x = task.truth.shifts[k] + rng.standard_normal((n, task.cfg.d))
-    probs = softmax_rows(x @ (task.truth.theta + task.truth.betas[k]))
-    return x, probs
 
 
 def _logsumexp(z: np.ndarray) -> np.ndarray:
@@ -223,11 +178,11 @@ def _hypothesis_slices(w: np.ndarray, rows: int) -> list[slice]:
     return [slice(h[0], h[-1] + 1) for h in np.array_split(np.arange(n_hyp), n_slices)]
 
 
-def _pool_risks(task: SyntheticTask, k: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _pool_risks(task: GroundTruth, k: int, w: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """True risk [S] of each hypothesis in ``w`` [K x d x S] on client k:
     the exact expected NLL over labels, averaged over a fresh input pool."""
-    x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
-    p_cols = p_pool.T[..., None]  # [K x P x 1]
+    x_pool, p_pool = task.draw(k, TRUE_RISK_POINTS_PER_CLIENT, rng)
+    p_cols = p_pool[..., None]  # [K x P x 1]
     risks = np.empty(w.shape[-1])
     for hyp in _hypothesis_slices(w, x_pool.shape[0]):
         z = x_pool @ w[..., hyp]
@@ -236,13 +191,13 @@ def _pool_risks(task: SyntheticTask, k: int, w: np.ndarray, rng: np.random.Gener
 
 
 def _data_risks(
-    task: SyntheticTask, k: int, w: np.ndarray, n_data_draws: int, rng: np.random.Generator
+    task: GroundTruth, k: int, w: np.ndarray, n_data_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Empirical risk [S x D] of each hypothesis in ``w`` [K x d x S] on D
     fresh datasets of client k's size, one data draw a tile."""
     n_k = task.n_per_client[k]
-    x, p = draw_client_inputs(task, k, n_data_draws * n_k, rng)
-    y = _sample_categorical_rows(p, rng).reshape(n_data_draws, n_k)
+    x, p = task.draw(k, n_data_draws * n_k, rng)
+    y = sample_labels(p, rng).reshape(n_data_draws, n_k)
     x = x.reshape(n_data_draws, n_k, -1)
     rows = np.arange(n_k)
     risks = np.empty((w.shape[-1], n_data_draws))
@@ -254,7 +209,7 @@ def _data_risks(
 
 
 def estimate_slack(
-    task: SyntheticTask,
+    task: GroundTruth,
     prior: DiagGaussian,
     eta: float,
     delta: float,
@@ -271,7 +226,7 @@ def estimate_slack(
     inner expectation over labels on a large fresh input pool; empirical
     risks use freshly sampled datasets of the task's per-client sizes.
     ``fedvi bound`` passes only the clients it audits
-    (``SyntheticTask.clients``), so the slack covers the rows that the
+    (``GroundTruth.clients``), so the slack covers the rows that the
     empirical risk and the KL cover.
 
     Each client's hypotheses become class-major weights w [K x d x S]
@@ -292,7 +247,7 @@ def estimate_slack(
     r_emp = np.zeros((n_prior_samples, n_data_draws))
     for k, n_k in enumerate(task.n_per_client):
         betas = prior.mean + prior.scale * rng.standard_normal((n_prior_samples, prior.dim))
-        w = np.ascontiguousarray((task.truth.theta + betas.reshape(-1, d, k_classes)).T)
+        w = np.ascontiguousarray((task.theta + betas.reshape(-1, d, k_classes)).T)
         r_true += n_k * _pool_risks(task, k, w, rng)
         r_emp += _data_risks(task, k, w, n_data_draws, rng)
     gaps = eta * (r_true[:, None] - r_emp)
@@ -367,7 +322,7 @@ def client_posterior_audit(
 
 
 def bound_holds_check(
-    task: SyntheticTask,
+    task: GroundTruth,
     params: FedVIParams,
     cfg: PacBayesConfig,
     trials: int,
@@ -396,20 +351,19 @@ def bound_holds_check(
     holds = 0
     for trial in range(trials):
         emp = kl_total = true = 0.0
-        for k in range(task.cfg.c):
-            if not params.arch.batch_slices(task.n_per_client[k], AUDIT_BATCH_SIZE):
+        for k, n_k in enumerate(task.n_per_client):
+            if not params.arch.batch_slices(n_k, AUDIT_BATCH_SIZE):
                 continue
-            x, probs = draw_client_inputs(task, k, task.n_per_client[k], rng)
-            y = _sample_categorical_rows(probs, rng)
-            audit = client_posterior_audit(params, x, y, cfg, rng)
+            x, probs = task.draw(k, n_k, rng)
+            audit = client_posterior_audit(params, x, sample_labels(probs, rng), cfg, rng)
 
-            x_eval, p_eval = draw_client_inputs(task, k, eval_points, rng)
+            x_eval, p_eval = task.draw(k, eval_points, rng)
             g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
             logits = _draw_logits(params, audit.beta_draws, audit.b_beta, g_eval, l_eval)
             log_probs = logits - _logsumexp(logits.swapaxes(0, 1))[:, None]
             # log of the predictive averaged over the S draws, [K x P]
             log_predictive = _logsumexp(log_probs) - math.log(draws)
-            risk = audit.n_query * float(-(p_eval.T * log_predictive).sum(axis=0).mean())
+            risk = audit.n_query * float(-(p_eval * log_predictive).sum(axis=0).mean())
             for what, value in (("empirical risk", audit.gibbs_nll), ("true risk", risk)):
                 if math.isnan(value):
                     raise NonFiniteError(f"{what} is NaN").add_context(trial=trial, client=k)

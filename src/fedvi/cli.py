@@ -27,8 +27,10 @@ from .config import ConfigError, ExperimentConfig, check_cohort_fits, parse_conf
 from .datagen import (
     DatasetVersionError,
     FederatedDataset,
+    GroundTruth,
     MalformedDatasetError,
     _Reader,
+    generate_hierarchical,
     load_dataset,
     save_dataset,
 )
@@ -44,7 +46,6 @@ from .federation import (
 from .model import ArchConfig, FedVIParams, block_shapes
 from .nn import NonFiniteError
 from .seeding import DOMAIN_ABLATION, DOMAIN_BOUND, substream
-from .bounds import SyntheticTask, synthetic_task
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -209,10 +210,9 @@ def read_metrics(path) -> list[dict]:
     return rows
 
 
-def _dataset_for(cfg: ExperimentConfig) -> tuple[FederatedDataset, SyntheticTask | None]:
+def _dataset_for(cfg: ExperimentConfig) -> tuple[FederatedDataset, GroundTruth | None]:
     if cfg.gen is not None:
-        ds, task = synthetic_task(cfg.gen)
-        return ds, task
+        return generate_hierarchical(cfg.gen)
     ds = load_dataset(cfg.dataset_path)
     d = ds.clients[0].x.shape[1]
     if d != cfg.arch.input_dim or ds.num_classes != cfg.arch.num_classes:

@@ -2,8 +2,10 @@
 
 One source: a synthetic generator that samples a hierarchical process
 (shared global predictor, independent per-client additive effects and input
-shifts). Datasets round-trip bit-exactly through a versioned binary format,
-which ``fedvi generate`` writes and ``data.source = file`` reads.
+shifts). Its ``GroundTruth`` keeps the process as drawn, so oracles (the
+bound's true risks and its fresh datasets) sample the same clients through
+the same code. Datasets round-trip bit-exactly through a versioned binary
+format, which ``fedvi generate`` writes and ``data.source = file`` reads.
 """
 
 from __future__ import annotations
@@ -161,24 +163,54 @@ class GenConfig:
 
 @dataclass
 class GroundTruth:
-    """Generator internals retained for oracle use only."""
+    """The synthetic process as drawn, for oracles only: the generator's
+    config, the shared predictor, each client's effect, input shift and
+    size. :meth:`draw` gives a client's fresh inputs with their exact label
+    law, for the generator's own data and for the bound's fresh datasets
+    and true risks.
+    """
 
+    cfg: GenConfig
     theta: np.ndarray  # [d x K] shared predictor
     betas: list[np.ndarray] = field(default_factory=list)  # per-client [d x K]
     shifts: list[np.ndarray] = field(default_factory=list)  # per-client [d]
+    n_per_client: list[int] = field(default_factory=list)
+
+    def draw(self, k: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """n fresh inputs [n x d] of client k, x ~ N(m_k, I), and their
+        label law [K x n]."""
+        x = self.shifts[k] + rng.standard_normal((n, self.cfg.d))
+        return x, label_law(x @ (self.theta + self.betas[k]))
+
+    def clients(self, ks: list[int]) -> GroundTruth:
+        """The clients ``ks`` alone: the same ``cfg`` and shared predictor,
+        their effects, input shifts and sizes."""
+        return GroundTruth(
+            self.cfg,
+            self.theta,
+            [self.betas[k] for k in ks],
+            [self.shifts[k] for k in ks],
+            [self.n_per_client[k] for k in ks],
+        )
 
 
-def softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    p = np.exp(shifted)
-    p /= p.sum(axis=-1, keepdims=True)
+def label_law(z: np.ndarray) -> np.ndarray:
+    """Softmax of logits z [n x K], class-major: [K x n], every reduction
+    over the leading class axis. ``z`` is left as it is."""
+    p = z.T.copy()
+    p -= p.max(axis=0)
+    np.exp(p, out=p)
+    p /= p.sum(axis=0)
     return p
 
 
-def _sample_categorical_rows(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(p, axis=1)
-    u = rng.random(p.shape[0])
-    return (u[:, None] > cum).sum(axis=1).astype(np.int64)
+def sample_labels(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One label per column of the law p [K x n]: the number of its first
+    K - 1 cumulative sums below a uniform draw. Rounding can leave the
+    K-th sum below the largest uniform draw, so it is not compared."""
+    cum = np.cumsum(p[:-1], axis=0)
+    u = rng.random(p.shape[1])
+    return (u > cum).sum(axis=0).astype(np.int64)
 
 
 def generate_hierarchical(
@@ -186,29 +218,26 @@ def generate_hierarchical(
 ) -> tuple[FederatedDataset, GroundTruth]:
     """Sample the hierarchical process and retain its ground truth.
 
-    theta ~ N(0, I) [d x K]; per client k: beta_k ~ N(0, sigma_beta^2 I),
-    m_k ~ N(0, input_shift_scale^2 I), x ~ N(m_k, I),
+    theta ~ N(0, I) [d x K]; per client k: n_k uniform on ``n_range``,
+    beta_k ~ N(0, sigma_beta^2 I), m_k ~ N(0, input_shift_scale^2 I), then
+    ``GroundTruth.draw``'s x ~ N(m_k, I) and
     y ~ Categorical(softmax((theta + beta_k)^T x)). Each client is split
     80/20 train/test by position after shuffling.
     """
     if rng is None:
         rng = substream(cfg.seed, DOMAIN_DATA)
-    theta = rng.standard_normal((cfg.d, cfg.num_classes))
-    truth = GroundTruth(theta=theta)
+    truth = GroundTruth(cfg, rng.standard_normal((cfg.d, cfg.num_classes)))
     clients: list[ClientDataset] = []
     lo, hi = cfg.n_range
     for k in range(cfg.c):
         n_k = int(rng.integers(lo, hi + 1))
-        beta = cfg.sigma_beta * rng.standard_normal((cfg.d, cfg.num_classes))
-        shift = cfg.input_shift_scale * rng.standard_normal(cfg.d)
-        x = shift + rng.standard_normal((n_k, cfg.d))
-        probs = softmax_rows(x @ (theta + beta))
-        y = _sample_categorical_rows(probs, rng)
+        truth.betas.append(cfg.sigma_beta * rng.standard_normal((cfg.d, cfg.num_classes)))
+        truth.shifts.append(cfg.input_shift_scale * rng.standard_normal(cfg.d))
+        truth.n_per_client.append(n_k)
+        x, p = truth.draw(k, n_k, rng)
+        y = sample_labels(p, rng)
         perm = rng.permutation(n_k)
-        split = int(TRAIN_FRACTION * n_k)
-        clients.append(ClientDataset(k, x[perm], y[perm], split))
-        truth.betas.append(beta)
-        truth.shifts.append(shift)
+        clients.append(ClientDataset(k, x[perm], y[perm], int(TRAIN_FRACTION * n_k)))
     ds = FederatedDataset(clients, cfg.num_classes, cfg.holdout_count)
     return ds, truth
 

@@ -21,7 +21,6 @@ from fedvi.bounds import (
     elbo_components,
     estimate_slack,
     generator_prior,
-    synthetic_task,
 )
 from fedvi.cli import main
 from fedvi.config import parse_config_text
@@ -30,9 +29,9 @@ from fedvi.datagen import (
     ClientDataset,
     FederatedDataset,
     GenConfig,
-    _sample_categorical_rows,
     generate_hierarchical,
-    softmax_rows,
+    label_law,
+    sample_labels,
 )
 from fedvi.distributions import DiagGaussian, kl_diag
 from fedvi.federation import (
@@ -439,7 +438,7 @@ def typed_dataset(seed: int):
         t = k % TYPE_COUNT
         n_k = int(rng.integers(lo, hi + 1))
         x = shifts[t] + rng.standard_normal((n_k, d))
-        y = _sample_categorical_rows(softmax_rows(x @ (theta + betas[t])), rng)
+        y = sample_labels(label_law(x @ (theta + betas[t])), rng)
         perm = rng.permutation(n_k)
         clients.append(ClientDataset(k, x[perm], y[perm], int(TRAIN_FRACTION * n_k)))
     return FederatedDataset(clients, num_classes, holdout), shifts
@@ -567,7 +566,7 @@ def test_criterion_09_pacbayes_bound_holds():
         c=8, n_range=(200, 200), d=4, num_classes=3, sigma_beta=1.0,
         input_shift_scale=0.5, seed=909, holdout_count=0,
     )
-    ds, task = synthetic_task(gen)
+    ds, task = generate_hierarchical(gen)
     arch = ArchConfig(
         input_dim=4, embed_widths=(8, 6), local_dim=2, global_dim=4,
         num_classes=3, posterior_widths=(16, 16),

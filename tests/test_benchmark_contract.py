@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 
 from fedvi import bounds, cli
-from fedvi.bounds import generator_prior, synthetic_task
+from fedvi.bounds import generator_prior
 from fedvi.config import parse_config
-from fedvi.datagen import GenConfig
+from fedvi.datagen import GenConfig, generate_hierarchical
 from fedvi.seeding import substream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,7 +63,7 @@ def test_tracer_installs_and_uninstalls(tracing):
             c=2, n_range=(10, 12), d=3, num_classes=2, sigma_beta=1.0,
             input_shift_scale=0.5, seed=1,
         )
-        task = synthetic_task(gen)[1]
+        task = generate_hierarchical(gen)[1]
         args = (task, generator_prior(task), 1.0, 0.1, 3, 2, substream(0, 0))
         bounds.estimate_slack(*args)
     finally:

@@ -16,15 +16,13 @@ from fedvi.bounds import (
     TRUE_RISK_POINTS_PER_CLIENT,
     PacBayesConfig,
     bound_holds_check,
-    draw_client_inputs,
     elbo_components,
     estimate_slack,
     generator_prior,
     pacbayes_rhs,
     scaled_log_moment,
-    synthetic_task,
 )
-from fedvi.datagen import GenConfig, _sample_categorical_rows
+from fedvi.datagen import GenConfig, generate_hierarchical, sample_labels
 from fedvi.federation import TrainConfig, iter_local_batches, run_training
 from fedvi.model import (
     ArchConfig,
@@ -46,7 +44,7 @@ def toy_task(c=4, n=(30, 40), d=4, k=3, seed=17, holdout=0, sigma_beta=1.0):
         c=c, n_range=n, d=d, num_classes=k, sigma_beta=sigma_beta,
         input_shift_scale=0.5, seed=seed, holdout_count=holdout,
     )
-    return synthetic_task(cfg)
+    return generate_hierarchical(cfg)
 
 
 def toy_train_cfg(**overrides) -> TrainConfig:
@@ -217,12 +215,12 @@ class TestEstimateSlack:
         for k in range(cfg.c):
             n_k = task.n_per_client[k]
             betas = prior.mean + prior.scale * rng.standard_normal((n_hyp, prior.dim))
-            x_pool, p_pool = draw_client_inputs(task, k, TRUE_RISK_POINTS_PER_CLIENT, rng)
-            x_data, p_data = draw_client_inputs(task, k, n_draws * n_k, rng)
-            y_data = _sample_categorical_rows(p_data, rng)
+            x_pool, p_pool = task.draw(k, TRUE_RISK_POINTS_PER_CLIENT, rng)
+            x_data, p_data = task.draw(k, n_draws * n_k, rng)
+            y_data = sample_labels(p_data, rng)
             for s, beta in enumerate(betas):
-                mat = task.truth.theta + beta.reshape(cfg.d, cfg.num_classes)
-                r_true[s] += n_k * -(p_pool * log_softmax(x_pool @ mat, axis=1)).sum(1).mean()
+                mat = task.theta + beta.reshape(cfg.d, cfg.num_classes)
+                r_true[s] += n_k * -(p_pool * log_softmax(x_pool @ mat, axis=1).T).sum(0).mean()
                 logp = log_softmax(x_data @ mat, axis=1)[np.arange(y_data.size), y_data]
                 r_emp[s] -= logp.reshape(n_draws, n_k).sum(axis=1)
         gaps = eta * (r_true[:, None] - r_emp)
@@ -385,8 +383,8 @@ class TestBoundHoldsCheck:
         rng = substream(4, 3)
         emp = true = 0.0
         for k in range(task.cfg.c):
-            x, probs = draw_client_inputs(task, k, task.n_per_client[k], rng)
-            y = _sample_categorical_rows(probs, rng)
+            x, probs = task.draw(k, task.n_per_client[k], rng)
+            y = sample_labels(probs, rng)
             fwd = forward_batch(params, x[:AUDIT_BATCH_SIZE])
             q = fwd.stats.q
             betas = q.mean + q.scale * rng.standard_normal((draws, q.dim))
@@ -397,15 +395,15 @@ class TestBoundHoldsCheck:
                 nll += -(z[np.arange(y_query.size), y_query] - logsumexp(z, axis=1)).sum()
             emp += nll / draws
 
-            x_eval, p_eval = draw_client_inputs(task, k, math.ceil(10_000 / task.cfg.c), rng)
+            x_eval, p_eval = task.draw(k, math.ceil(10_000 / task.cfg.c), rng)
             g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
             log_probs = []
             for beta in betas:
                 z = predict_logits(params, beta, fwd.stats.b_beta, g_eval, l_eval)
                 log_probs.append(z - logsumexp(z, axis=1, keepdims=True))
             assert np.all(np.exp(np.array(log_probs))[..., 0] == 0.0)
-            assert np.all(p_eval[:, 0] > 0.0)
+            assert np.all(p_eval[0] > 0.0)
             log_predictive = logsumexp(np.array(log_probs), axis=0) - math.log(draws)
-            true += y_query.size * -(p_eval * log_predictive).sum(axis=1).mean()
+            true += y_query.size * -(p_eval * log_predictive.T).sum(axis=0).mean()
         assert res.empirical_risks[0] == pytest.approx(emp, rel=1e-12)
         assert res.true_risks[0] == pytest.approx(true, rel=1e-12)

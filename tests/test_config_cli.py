@@ -623,13 +623,23 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
-        original = bounds.draw_client_inputs
+        # NaN only the bound's fresh draws: the generated dataset rejects
+        # NaN inputs, and `GroundTruth.clients` builds a new instance, so
+        # the class is patched once the dataset is drawn.
+        from fedvi.datagen import GroundTruth
+
+        generate, draw = cli.generate_hierarchical, GroundTruth.draw
 
         def draw_nan_inputs(task, k, n, rng):
-            x, probs = original(task, k, n, rng)
+            x, probs = draw(task, k, n, rng)
             return np.full_like(x, np.nan), probs
 
-        monkeypatch.setattr(bounds, "draw_client_inputs", draw_nan_inputs)
+        def generate_then_poison(gen):
+            drawn = generate(gen)
+            monkeypatch.setattr(GroundTruth, "draw", draw_nan_inputs)
+            return drawn
+
+        monkeypatch.setattr(cli, "generate_hierarchical", generate_then_poison)
         args = ["bound", "--config", cfg, "--out", str(out), "--params", str(out / "params.bin")]
         assert main(args) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
@@ -887,10 +897,10 @@ class TestClientsTooSmallToSplit:
         assert 0 < len(kept) < len(ds.clients)
         (task,) = tasks
         assert task.n_per_client == [ds.clients[k].n for k in kept]
-        assert np.array_equal(task.truth.theta, truth.theta)
-        for got, k in zip(task.truth.betas, kept, strict=True):
+        assert np.array_equal(task.theta, truth.theta)
+        for got, k in zip(task.betas, kept, strict=True):
             assert np.array_equal(got, truth.betas[k])
-        for got, k in zip(task.truth.shifts, kept, strict=True):
+        for got, k in zip(task.shifts, kept, strict=True):
             assert np.array_equal(got, truth.shifts[k])
 
     @pytest.mark.parametrize("check", [[], ["--check"]])

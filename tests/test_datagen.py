@@ -1,19 +1,49 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from fedvi.config import parse_config
 from fedvi.datagen import (
     DatasetVersionError,
     GenConfig,
     MalformedDatasetError,
     generate_hierarchical,
+    label_law,
     load_dataset,
+    sample_labels,
     save_dataset,
-    softmax_rows,
 )
 from fedvi.seeding import substream
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# SHA-256 of every client's x (little-endian float64) and y (little-endian
+# int64), clients in order, as the shipped configs generate them.
+PINNED_DIGESTS = {
+    "heterogeneous.cfg": (
+        "6379150901748ab1e474ad8b6851ffa8e46b5b7d8e52563c487f904881491d3a",
+        "1f53af61c7fb8ae6118e4147a8d9ecbdff070b14d5d703b4883917788b880030",
+    ),
+    "iid.cfg": (
+        "40120d8b2996862d662f5f54a51ebbb0def502306e2b18b239c3ff851e568a7f",
+        "40b686fd86576a492f6b3733b86ba56db27cedb35e918b6ed5c86d23899f4292",
+    ),
+    "bound.cfg": (
+        "00cd0ce053e1d6d55b2b2efd346c4a96fa7dd7cd8a3f41f7eb20569fe97f112f",
+        "fa815a938b560a860803f9d7207364423a95e6928d9f61f78f6c5632027d0ded",
+    ),
+}
+
+# The largest value Generator.random returns.
+TOP_UNIFORM = float(np.nextafter(1.0, 0.0))
 
 
 def make_cfg(**overrides) -> GenConfig:
@@ -42,9 +72,10 @@ class TestGenerateHierarchical:
 
     def test_shapes_and_split(self):
         cfg = make_cfg()
-        ds, _ = generate_hierarchical(cfg)
+        ds, truth = generate_hierarchical(cfg)
         assert len(ds.clients) == cfg.c
         assert ds.holdout_count == 2
+        assert truth.n_per_client == [cl.n for cl in ds.clients]
         for cl in ds.clients:
             assert cfg.n_range[0] <= cl.n <= cfg.n_range[1]
             assert cl.split == int(0.8 * cl.n)
@@ -75,12 +106,21 @@ class TestGenerateHierarchical:
         ds, truth = generate_hierarchical(cfg)
         crit = stats.chi2.ppf(0.99, cfg.num_classes - 1)
         for k, cl in enumerate(ds.clients):
-            probs = softmax_rows(cl.x @ (truth.theta + truth.betas[k]))
-            expected = probs.sum(axis=0)
+            probs = label_law(cl.x @ (truth.theta + truth.betas[k]))
+            expected = probs.sum(axis=1)
             observed = np.bincount(cl.y, minlength=cfg.num_classes)
             keep = expected > 1e-9
             chi2 = (((observed - expected) ** 2)[keep] / expected[keep]).sum()
             assert chi2 < crit, f"client {k}: chi2={chi2:.1f} >= {crit:.1f}"
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_shipped_configs_generate_pinned_bytes(self, name):
+        ds, _ = generate_hierarchical(parse_config(CONFIGS / name).gen)
+        x_digest, y_digest = hashlib.sha256(), hashlib.sha256()
+        for cl in ds.clients:
+            x_digest.update(cl.x.astype("<f8").tobytes())
+            y_digest.update(cl.y.astype("<i8").tobytes())
+        assert (x_digest.hexdigest(), y_digest.hexdigest()) == PINNED_DIGESTS[name]
 
     def test_explicit_rng_controls_everything(self):
         cfg = make_cfg()
@@ -89,6 +129,74 @@ class TestGenerateHierarchical:
         ds3, _ = generate_hierarchical(cfg, substream(99, 2))
         assert ds1 == ds2
         assert ds1 != ds3
+
+
+class FixedUniforms:
+    """A generator stub whose ``random`` returns the given draws."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def row_major_softmax(z):
+    p = np.exp(z - z.max(axis=1, keepdims=True))
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def logits(max_classes):
+    return st.integers(2, max_classes).flatmap(
+        lambda k: arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.just(k)),
+            elements=st.floats(-50.0, 50.0, allow_nan=False),
+        )
+    )
+
+
+uniforms = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(TOP_UNIFORM))
+
+
+class TestLabelLaw:
+    def test_top_uniform_draw_gives_an_in_range_label(self):
+        # Rounding leaves the last cumulative sum of many 5-class laws
+        # below the largest uniform draw; counting every boundary under it
+        # then gave label 5.
+        z = substream(7, 0).standard_normal((20_000, 5))
+        p = label_law(z)
+        short = np.cumsum(p, axis=0)[-1] < TOP_UNIFORM
+        assert short.sum() > 100
+        y = sample_labels(p, FixedUniforms(np.full(z.shape[0], TOP_UNIFORM)))
+        assert y.min() >= 0 and y.max() == 4
+        assert np.all(y[short] == 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(logits(7))
+    def test_law_equals_the_row_major_softmax_bit_for_bit(self, z):
+        given_z = z.copy()
+        law = label_law(z)
+        assert np.array_equal(z, given_z)
+        assert law.shape == z.shape[::-1] and law.flags.c_contiguous
+        assert np.array_equal(law.T, row_major_softmax(z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(logits(64), st.data())
+    def test_labels_are_in_range_and_match_the_full_draw(self, z, data):
+        n, k = z.shape
+        u = np.array(data.draw(st.lists(uniforms, min_size=n, max_size=n)))
+        p = label_law(z)
+        y = sample_labels(p, FixedUniforms(u))
+        assert y.dtype == np.int64
+        assert np.all((0 <= y) & (y < k))
+        # The draw against all K boundaries, where it gives a class.
+        cum = np.cumsum(p.T, axis=1)
+        full = (u[:, None] > cum).sum(axis=1)
+        inside = u <= cum[:, -1]
+        assert np.array_equal(y[inside], full[inside])
+        assert np.all(y[~inside] == k - 1)
 
 
 class TestSaveLoad:

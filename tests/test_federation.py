@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedvi import bounds, federation, model, nn
 from fedvi.config import parse_config
 from fedvi.datagen import ClientDataset, FederatedDataset, GenConfig, generate_hierarchical
-from fedvi.datagen import softmax_rows
+from fedvi.datagen import label_law
 from fedvi.federation import (
     TrainConfig,
     _accuracy_weighted,
@@ -129,7 +129,7 @@ class TestClientUpdate:
         xb, yb = x[perm], y[perm]
         rep = xb @ w1 + b1
         logits = rep[:, :3] @ wc + bc
-        p = softmax_rows(logits)
+        p = label_law(logits).T
         p[np.arange(6), yb] -= 1.0
         d_rep = np.zeros_like(rep)
         d_rep[:, :3] = p @ wc.T
