@@ -371,11 +371,9 @@ def eval_batches(n_test: int, cfg: TrainConfig, arch: ArchConfig) -> list[slice]
 
 
 EVAL_WORKSPACE_BYTES = 16 * 2**20
-"""The most memory ``evaluate`` keeps for its intermediates between calls. A
-call scores its clients in groups whose intermediates fit it; a client
-whose own do not is scored alone, in memory freed after the call."""
-
-_eval_workspace = np.empty(0)
+"""The most memory the intermediates of one group of ``evaluate``'s clients
+may take. A call scores its clients in groups whose intermediates fit it; a
+client whose own do not is a group alone."""
 
 
 def _eval_phases(
@@ -410,20 +408,11 @@ def _eval_words(phases: list[list[tuple[int, ...]]]) -> int:
 
 
 def _eval_views(phases: list[list[tuple[int, ...]]]) -> list[list[np.ndarray]]:
-    """Views of ``evaluate``'s workspace with the shapes of ``_eval_phases``,
-    carved in one step: the first phase's views are disjoint from all
-    others, and every later phase starts where the first ends. The
-    workspace grows to the largest group scored so far that fits
-    ``EVAL_WORKSPACE_BYTES``; a larger group gets a buffer of its own."""
-    global _eval_workspace
-    words = _eval_words(phases)
-    if words * _eval_workspace.itemsize > EVAL_WORKSPACE_BYTES:
-        buf = np.empty(words)
-    else:
-        if words > _eval_workspace.size:
-            _eval_workspace = np.empty(0)  # free the old buffer before making its successor
-            _eval_workspace = np.empty(words)
-        buf = _eval_workspace
+    """Views with the shapes of ``_eval_phases``, carved in one step from
+    one new buffer, freed with the views: the first phase's views are
+    disjoint from all others, and every later phase starts where the first
+    ends."""
+    buf = np.empty(_eval_words(phases))
     kept = sum(math.prod(shape) for shape in phases[0])
     views = []
     for i, shapes in enumerate(phases):
@@ -525,7 +514,7 @@ def _score_group(
 ) -> np.ndarray:
     """Whether each scored row of ``group`` is classified right, from its
     clients' scored test rows ``tests`` (x, y), in one flat forward pass
-    whose intermediates are views of the workspace."""
+    whose intermediates are views of one buffer made for the group."""
     arch = params.arch
     kept, embedding, *phases = _eval_views(group.phases)
     x = embedding[0]
@@ -577,16 +566,16 @@ def evaluate(
 
     Every intermediate of one row per scored row (the test rows, the
     embedding's layers, the constructor's layers, each query row's
-    posterior mean and bias, and the logits) is a view of one workspace
-    that lives as long as the process, and the groups and index arrays of
-    the last few client lists are cached (``_eval_plan``), so a warm call
-    allocates only arrays of one row per batch and label and index arrays
-    of at most 8 bytes a row, and touches no fresh page. The workspace
-    never grows past ``EVAL_WORKSPACE_BYTES`` (16 MiB): clients are scored
-    in groups of whole clients, in order, whose intermediates fit it, so
-    every shipped config is one group. ``evaluate`` returns no view of the
-    workspace, and it is not reentrant: two calls may not run at once, in
-    threads or from a callback.
+    posterior mean and bias, and the logits) is a view of one buffer made
+    for its group and freed once the group is scored, and the groups and
+    index arrays of the last few client lists are cached (``_eval_plan``),
+    so besides that buffer a warm call allocates only arrays of one row per
+    batch and label and index arrays of at most 8 bytes a row. Clients are
+    scored in groups of whole clients, in order, whose intermediates fit
+    ``EVAL_WORKSPACE_BYTES`` (16 MiB), so heterogeneous.cfg, iid.cfg and
+    bound.cfg are one group each (xdevice.cfg's participating clients 44).
+    No state but the read-only plans outlives a call, so calls may run at
+    once, in threads.
     """
     fedvi = cfg.algorithm == "fedvi"
     groups = _eval_plan(

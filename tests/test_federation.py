@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -648,8 +649,8 @@ class TestMinBatch:
             run_training(make_cfg(rounds=1, cohort_size=2), arch, ds)
 
 
-def workspace_bytes(arch, cfg, clients) -> list[int]:
-    """The workspace each scored client of ``clients`` needs alone."""
+def group_bytes(arch, cfg, clients) -> list[int]:
+    """The buffer each scored client of ``clients`` needs as a group alone."""
     fedvi = cfg.algorithm == "fedvi"
     needs = []
     for client in clients:
@@ -674,12 +675,6 @@ def count_groups(monkeypatch) -> list[int]:
     return groups
 
 
-@pytest.fixture
-def fresh_workspace(monkeypatch):
-    """An empty evaluate workspace, the process's own put back afterwards."""
-    monkeypatch.setattr(federation, "_eval_workspace", np.empty(0))
-
-
 class TestStackedEvaluate:
     @pytest.mark.parametrize(
         "algorithm, one_client_groups",
@@ -693,14 +688,14 @@ class TestStackedEvaluate:
         # batch size 8: a size-1 tail (17 test examples, skipped), a client
         # with one test example (excluded), tails of 5, equal test set sizes;
         # at a budget that holds only the smallest client, no two clients
-        # share a group and every other client is scored in its own buffer
+        # share a group
         arch = small_arch()
         clients = ragged_clients(substream(43, 0), arch, [3] * 6, [17, 1, 13, 21, 6, 13])
         cfg = make_cfg(batch_size=8, algorithm=algorithm)
         params = init_params(arch, substream(43, 1))
         groups = count_groups(monkeypatch)
         if one_client_groups:
-            budget = min(workspace_bytes(arch, cfg, clients))
+            budget = min(group_bytes(arch, cfg, clients))
             monkeypatch.setattr(federation, "EVAL_WORKSPACE_BYTES", budget)
         per_client = []
         for client in clients:
@@ -757,35 +752,40 @@ class TestStackedEvaluate:
 
     def test_warm_call_allocates_no_row_intermediates(self):
         # heterogeneous.cfg's participating clients at init parameters: a
-        # warm call writes its intermediates into the workspace (about 2 MiB
-        # when each call allocated them)
+        # warm call is one group, whose intermediates are views of its one
+        # buffer; beyond that buffer it allocates less than 512 KiB (about
+        # 2 MiB when each intermediate was an array of its own)
         cfg = parse_config(CONFIGS / "heterogeneous.cfg")
         ds, _ = generate_hierarchical(cfg.gen)
         params = init_server(cfg.arch, cfg.train.seed).params
         clients = ds.participating_clients()
         evaluate(params, clients, cfg.train)
+        (group,) = federation._eval_plan(
+            cfg.arch, cfg.train, federation.EVAL_WORKSPACE_BYTES, tuple(c.n_test for c in clients)
+        )
         tracemalloc.start()
         try:
             evaluate(params, clients, cfg.train)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 512 * 1024
+        assert peak - 8 * federation._eval_words(group.phases) < 512 * 1024
 
     @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
     def test_memory_stays_within_the_budget(self, algorithm, monkeypatch):
         # at a budget that holds the largest client alone and no two
-        # neighbours, a call from an empty workspace peaks at the budget plus
-        # a constant: numpy's ufunc buffer (12 KiB), arrays of one row per
-        # batch, index arrays of one group's rows, the batch lists
+        # neighbours, a call with its plan cached peaks at the budget (the
+        # largest group's buffer) plus a constant: numpy's ufunc buffer
+        # (12 KiB), arrays of one row per batch, index arrays of one group's
+        # rows, the batch lists
         arch = small_arch()
         clients = ragged_clients(substream(45, 0), arch, [3] * 12, [200, 64, 150] * 4)
         cfg = make_cfg(batch_size=8, algorithm=algorithm)
         params = init_params(arch, substream(45, 1))
-        budget = max(workspace_bytes(arch, cfg, clients))
+        budget = max(group_bytes(arch, cfg, clients))
         whole = evaluate(params, clients, cfg)
-        monkeypatch.setattr(federation, "_eval_workspace", np.empty(0))
         monkeypatch.setattr(federation, "EVAL_WORKSPACE_BYTES", budget)
+        evaluate(params, clients, cfg)  # builds the plan for this budget
         groups = count_groups(monkeypatch)
         tracemalloc.start()
         try:
@@ -795,14 +795,12 @@ class TestStackedEvaluate:
             tracemalloc.stop()
         assert grouped == whole
         assert len(groups) == len(clients)
-        assert federation._eval_workspace.nbytes == budget
         assert budget < peak < budget + 64 * 1024
 
-    def test_interleaved_calls_equal_fresh_ones(self, fresh_workspace, monkeypatch):
-        # neither the workspace nor the cached plans carry anything from one
-        # call to the next: calls on two client lists of different sizes,
-        # for both algorithms, in turn, against calls from an empty
-        # workspace and an empty plan cache
+    def test_interleaved_calls_equal_fresh_ones(self):
+        # the cached plans carry nothing from one call to the next: calls on
+        # two client lists of different sizes, for both algorithms, in turn,
+        # against calls from an empty plan cache
         ds = make_ds(seed=11, c=12, holdout=4, n=(40, 90))
         params = init_params(small_arch(), substream(46, 1))
         calls = [
@@ -813,10 +811,26 @@ class TestStackedEvaluate:
         interleaved = [evaluate(params, clients, cfg) for clients, cfg in calls * 2]
         fresh = []
         for clients, cfg in calls:
-            monkeypatch.setattr(federation, "_eval_workspace", np.empty(0))
             federation._eval_plan.cache_clear()
             fresh.append(evaluate(params, clients, cfg))
         assert interleaved == fresh * 2
+
+    def test_concurrent_calls_equal_sequential_ones(self):
+        # heterogeneous.cfg's participating and holdout clients at init
+        # parameters: four threads, each calling evaluate 20 times on the
+        # two lists in turn, get the results of calls made one at a time
+        cfg = parse_config(CONFIGS / "heterogeneous.cfg")
+        ds, _ = generate_hierarchical(cfg.gen)
+        params = init_server(cfg.arch, cfg.train.seed).params
+        lists = [ds.participating_clients(), ds.holdout_clients()]
+        sequential = [evaluate(params, clients, cfg.train) for clients in lists]
+
+        def calls(_):
+            return [evaluate(params, lists[i % 2], cfg.train) for i in range(20)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = [r for rs in pool.map(calls, range(4)) for r in rs]
+        assert results == sequential * 40
 
 
 class TestTrainConfigValidation:
