@@ -123,8 +123,8 @@ def pacbayes_rhs(empirical_risk: float, kl: float, eta: float, delta: float, sla
 def scaled_log_moment(gaps: np.ndarray, delta: float) -> float:
     """log((1/delta) * mean(exp(gaps))) without overflow.
 
-    Returns +inf (with a heavy-tail warning) if any gap is itself infinite;
-    a NaN gap raises ``NonFiniteError``.
+    Returns +inf (with a heavy-tail warning) only if a gap is +inf. A NaN
+    gap, or gaps that are all -inf, raise ``NonFiniteError``.
     """
     g = np.asarray(gaps, dtype=np.float64).ravel()
     if g.size == 0:
@@ -132,6 +132,8 @@ def scaled_log_moment(gaps: np.ndarray, delta: float) -> float:
     n_nan = int(np.isnan(g).sum())
     if n_nan:
         raise NonFiniteError(f"slack estimate: {n_nan} of {g.size} gap samples are NaN")
+    if np.isneginf(g).all():
+        raise NonFiniteError(f"slack estimate: {g.size} of {g.size} gap samples are -inf")
     if np.any(np.isposinf(g)):
         warnings.warn(
             "slack estimate diverged (+inf gap sample); the moment may be heavy-tailed",
@@ -194,10 +196,15 @@ def _data_risks(
     task: GroundTruth, k: int, w: np.ndarray, n_data_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Empirical risk [S x D] of each hypothesis in ``w`` [K x d x S] on D
-    fresh datasets of client k's size, one data draw a tile."""
+    fresh datasets of client k's size, one data draw a tile.
+
+    The labels are drawn one data draw at a time, from the law's n_k
+    columns of that draw, in order: the same uniforms as one draw over the
+    whole law, without its cumulative sums at full size."""
     n_k = task.n_per_client[k]
     x, p = task.draw(k, n_data_draws * n_k, rng)
-    y = sample_labels(p, rng).reshape(n_data_draws, n_k)
+    y = [sample_labels(p[:, j * n_k : (j + 1) * n_k], rng) for j in range(n_data_draws)]
+    del p
     x = x.reshape(n_data_draws, n_k, -1)
     rows = np.arange(n_k)
     risks = np.empty((w.shape[-1], n_data_draws))
@@ -259,10 +266,40 @@ class BoundCheckResult:
     holding_fraction: float
     trials: int
     slack: float
-    rhs_values: list[float] = field(default_factory=list)
-    true_risks: list[float] = field(default_factory=list)
+    rhs_values: list[float]
+    true_risks: list[float]
+    empirical_risks: list[float]
+    kl_values: list[float]
+
+
+@dataclass
+class BoundTrials:
+    """Per-trial totals of ``bound_holds_check``, which need no slack."""
+
     empirical_risks: list[float] = field(default_factory=list)
     kl_values: list[float] = field(default_factory=list)
+    true_risks: list[float] = field(default_factory=list)
+
+    def judge(self, cfg: PacBayesConfig, slack: float) -> BoundCheckResult:
+        """Each trial's RHS under ``slack``, the delta-scaled log-moment term
+        that ``estimate_slack`` returns, and the fraction of trials on
+        which it is at least the true risk (1.0 for no trials)."""
+        moment = slack - math.log(1.0 / cfg.delta)
+        rhs = [
+            pacbayes_rhs(emp, kl, cfg.eta, cfg.delta, moment)
+            for emp, kl in zip(self.empirical_risks, self.kl_values)
+        ]
+        trials = len(rhs)
+        holds = sum(r >= t for r, t in zip(rhs, self.true_risks))
+        return BoundCheckResult(
+            holding_fraction=holds / trials if trials else 1.0,
+            trials=trials,
+            slack=slack,
+            rhs_values=rhs,
+            true_risks=self.true_risks,
+            empirical_risks=self.empirical_risks,
+            kl_values=self.kl_values,
+        )
 
 
 ClientAudit = namedtuple("ClientAudit", "b_beta beta_draws n_query gibbs_nll kl")
@@ -327,28 +364,24 @@ def bound_holds_check(
     cfg: PacBayesConfig,
     trials: int,
     rng: np.random.Generator,
-    slack: float,
-) -> BoundCheckResult:
-    """Fraction of fresh-dataset trials on which RHS >= true risk.
+) -> BoundTrials:
+    """Empirical risk, KL and true risk of each of ``trials`` fresh-dataset
+    trials; ``BoundTrials.judge`` then compares the RHS with the true risk.
 
     Per trial: draw a fresh dataset from the task's client processes,
     audit each client (``client_posterior_audit``: Gibbs empirical risk on
-    its query points, KL to the prior), and compare the bound against the
-    Monte-Carlo true risk of the posterior-averaged predictive on fresh
-    inputs (exact inner expectation over labels). ``slack`` is the
-    delta-scaled log-moment term that ``estimate_slack`` returns, shared
-    across trials. Clients the audit skips are skipped before their data
-    is drawn. A NaN risk raises ``NonFiniteError`` naming the trial and
-    client.
+    its query points, KL to the prior), and take the Monte-Carlo true risk
+    of the posterior-averaged predictive on fresh inputs (exact inner
+    expectation over labels). No slack is needed, so ``fedvi bound`` runs
+    this beside ``estimate_slack``, on a stream of its own. Clients the
+    audit skips are skipped before their data is drawn. A NaN risk raises
+    ``NonFiniteError`` naming the trial and client.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
-    result = BoundCheckResult(holding_fraction=1.0, trials=trials, slack=slack)
-    if trials == 0:
-        return result
+    result = BoundTrials()
     draws = cfg.posterior_samples
     eval_points = max(2, math.ceil(10_000 / task.cfg.c))
-    holds = 0
     for trial in range(trials):
         emp = kl_total = true = 0.0
         for k, n_k in enumerate(task.n_per_client):
@@ -360,9 +393,11 @@ def bound_holds_check(
             x_eval, p_eval = task.draw(k, eval_points, rng)
             g_eval, l_eval = split_features(params.arch, embed(params, x_eval))
             logits = _draw_logits(params, audit.beta_draws, audit.b_beta, g_eval, l_eval)
-            log_probs = logits - _logsumexp(logits.swapaxes(0, 1))[:, None]
+            # log-softmax in place: with the slack's tiles alive beside it,
+            # the check keeps one [S x K x P] array, not two
+            logits -= _logsumexp(logits.swapaxes(0, 1))[:, None]
             # log of the predictive averaged over the S draws, [K x P]
-            log_predictive = _logsumexp(log_probs) - math.log(draws)
+            log_predictive = _logsumexp(logits) - math.log(draws)
             risk = audit.n_query * float(-(p_eval * log_predictive).sum(axis=0).mean())
             for what, value in (("empirical risk", audit.gibbs_nll), ("true risk", risk)):
                 if math.isnan(value):
@@ -370,12 +405,7 @@ def bound_holds_check(
             emp += audit.gibbs_nll
             kl_total += audit.kl
             true += risk
-        rhs = pacbayes_rhs(emp, kl_total, cfg.eta, cfg.delta, slack - math.log(1.0 / cfg.delta))
-        if rhs >= true:
-            holds += 1
-        result.rhs_values.append(rhs)
-        result.true_risks.append(true)
         result.empirical_risks.append(emp)
         result.kl_values.append(kl_total)
-    result.holding_fraction = holds / trials
+        result.true_risks.append(true)
     return result

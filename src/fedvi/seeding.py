@@ -16,6 +16,7 @@ DOMAIN_CLIENT = 3
 DOMAIN_DATA = 5
 DOMAIN_ABLATION = 6
 DOMAIN_BOUND = 7
+DOMAIN_BOUND_CHECK = 8
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -583,7 +583,7 @@ def test_criterion_09_pacbayes_bound_holds():
         task, generator_prior(task), pb.eta, pb.delta, pb.slack_samples,
         pb.slack_samples, rng,
     )
-    res = bound_holds_check(task, params, pb, trials=100, rng=rng, slack=slack)
+    res = bound_holds_check(task, params, pb, trials=100, rng=rng).judge(pb, slack=slack)
     elapsed = time.perf_counter() - t0
     ok = res.holding_fraction >= 0.95 and elapsed < 600
     report(

@@ -180,6 +180,9 @@ class TestScaledLogMoment:
             scaled_log_moment(np.array([math.nan, 1.0]), 0.1)
         with pytest.raises(NonFiniteError, match="1 of 2 gap samples are NaN"):
             scaled_log_moment(np.array([math.inf, math.nan]), 0.1)
+        # All -inf gaps used to give a NaN slack with only a numpy warning.
+        with pytest.raises(NonFiniteError, match="^slack estimate: 2 of 2 gap samples are -inf$"):
+            scaled_log_moment(np.array([-math.inf, -math.inf]), 0.1)
 
     def test_no_overflow_for_huge_gaps(self):
         out = scaled_log_moment(np.array([5000.0, 4000.0]), 0.5)
@@ -307,14 +310,14 @@ class TestBoundHoldsCheck:
     def test_zero_trials_is_vacuously_one(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
-        res = bound_holds_check(task, params, pb, 0, substream(4, 0), slack=1.0)
+        res = bound_holds_check(task, params, pb, 0, substream(4, 0)).judge(pb, slack=1.0)
         assert res.holding_fraction == 1.0
 
     def test_overestimated_slack_never_lowers_the_fraction(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
-        base = bound_holds_check(task, params, pb, 5, substream(4, 1), slack=5.0)
-        bumped = bound_holds_check(task, params, pb, 5, substream(4, 1), slack=15.0)
+        base = bound_holds_check(task, params, pb, 5, substream(4, 1)).judge(pb, slack=5.0)
+        bumped = bound_holds_check(task, params, pb, 5, substream(4, 1)).judge(pb, slack=15.0)
         assert bumped.holding_fraction >= base.holding_fraction
         assert all(a <= b for a, b in zip(base.rhs_values, bumped.rhs_values))
 
@@ -325,11 +328,11 @@ class TestBoundHoldsCheck:
         # RHS under its true risk.
         task, params = self._trained()
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
-        base = bound_holds_check(task, params, pb, 5, substream(4, 5), slack=5.0)
+        base = bound_holds_check(task, params, pb, 5, substream(4, 5)).judge(pb, slack=5.0)
         assert base.holding_fraction == 1.0
         margin = max(r - t for r, t in zip(base.rhs_values, base.true_risks))
-        low = bound_holds_check(
-            task, params, pb, 5, substream(4, 5), slack=5.0 - pb.eta * (margin + 1.0)
+        low = bound_holds_check(task, params, pb, 5, substream(4, 5)).judge(
+            pb, slack=5.0 - pb.eta * (margin + 1.0)
         )
         assert low.true_risks == base.true_risks
         assert all(r < t for r, t in zip(low.rhs_values, low.true_risks))
@@ -338,7 +341,7 @@ class TestBoundHoldsCheck:
     def test_details_align_with_rhs(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=2.0, delta=0.2, slack_samples=10, posterior_samples=4)
-        res = bound_holds_check(task, params, pb, 3, substream(4, 2), slack=7.0)
+        res = bound_holds_check(task, params, pb, 3, substream(4, 2)).judge(pb, slack=7.0)
         for rhs, emp, kl in zip(res.rhs_values, res.empirical_risks, res.kl_values):
             want = pacbayes_rhs(emp, kl, pb.eta, pb.delta, 7.0 - math.log(1 / pb.delta))
             assert abs(rhs - want) < 1e-10
@@ -366,7 +369,7 @@ class TestBoundHoldsCheck:
         monkeypatch.setattr(bounds, stage, poisoned)
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
         with pytest.raises(NonFiniteError, match=f"^trial 1, client 1: {what} is NaN$"):
-            bound_holds_check(task, params, pb, 3, substream(4, 4), slack=5.0)
+            bound_holds_check(task, params, pb, 3, substream(4, 4))
 
     def test_stacked_draws_match_a_per_draw_loop_when_a_class_underflows(self):
         # Class 0's classifier bias is so low that its softmax probability is
@@ -376,7 +379,7 @@ class TestBoundHoldsCheck:
         params.theta_cls[-1][..., 0] = -2000.0
         draws = 4
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=draws)
-        res = bound_holds_check(task, params, pb, 1, substream(4, 3), slack=5.0)
+        res = bound_holds_check(task, params, pb, 1, substream(4, 3)).judge(pb, slack=5.0)
         assert math.isfinite(res.true_risks[0])
 
         # The same trial, one draw at a time, on a replay of the check's stream.

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fedvi.config import ConfigError, parse_config, parse_config_text
 from fedvi.federation import TrainConfig
 from fedvi.model import ArchConfig, init_params
 from fedvi.nn import NonFiniteError
+from fedvi.seeding import DOMAIN_BOUND_CHECK, substream
 
 from conftest import small_arch
 
@@ -619,7 +621,9 @@ class TestExitCodes:
         assert re.search(r"numeric failure: round 2: \S", err), err
 
     def test_nan_slack_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
-        # NaN slack inputs used to put "nan" in bound.csv with exit 0.
+        # NaN slack inputs used to put "nan" in bound.csv with exit 0. With
+        # --check the check's draws are NaN too, and the slack's failure is
+        # the one reported.
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
         assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
@@ -635,16 +639,36 @@ class TestExitCodes:
             return np.full_like(x, np.nan), probs
 
         def generate_then_poison(gen):
+            monkeypatch.setattr(GroundTruth, "draw", draw)
             drawn = generate(gen)
             monkeypatch.setattr(GroundTruth, "draw", draw_nan_inputs)
             return drawn
 
         monkeypatch.setattr(cli, "generate_hierarchical", generate_then_poison)
         args = ["bound", "--config", cfg, "--out", str(out), "--params", str(out / "params.bin")]
-        assert main(args) == cli.EXIT_NUMERIC
+        for check in [], ["--check"]:
+            threads = threading.active_count()
+            assert main(args + check) == cli.EXIT_NUMERIC
+            assert threading.active_count() == threads
+            err = capsys.readouterr().err
+            pattern = r"numeric failure: slack estimate: \d+ of \d+ gap samples are NaN\n"
+            assert re.fullmatch(pattern, err), err
+            assert not (out / "bound.csv").exists()
+
+    def test_nan_check_risk_is_a_numeric_failure(self, tmp_path, capsys, monkeypatch):
+        # Only the check embeds its fresh inputs through `bounds.embed`, so
+        # the slack succeeds and the check's failure is the one reported.
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+        embed = bounds.embed
+        monkeypatch.setattr(bounds, "embed", lambda *a: np.full_like(embed(*a), np.nan))
+        args = ["bound", "--config", cfg, "--out", str(out), "--params", str(out / "params.bin")]
+        threads = threading.active_count()
+        assert main(args + ["--check"]) == cli.EXIT_NUMERIC
+        assert threading.active_count() == threads
         err = capsys.readouterr().err
-        pattern = r"numeric failure: slack estimate: \d+ of \d+ gap samples are NaN"
-        assert re.search(pattern, err), err
+        assert err == "numeric failure: trial 0, client 0: true risk is NaN\n"
         assert not (out / "bound.csv").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -912,6 +936,71 @@ class TestClientsTooSmallToSplit:
             "config error: no client has a batch of ArchConfig.min_batch = 2 rows to audit\n"
         )
         assert not (tmp_path / "bound.csv").exists()
+
+
+class TestBoundCheckStream:
+    """``fedvi bound --check`` on bound.cfg at 2 rounds and 3 trials: the
+    check reads its own stream, beside the slack."""
+
+    @pytest.fixture(scope="class")
+    def params_path(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bound")
+        text = shipped_cfg("bound.cfg", ("rounds = 30", "rounds = 2"))
+        assert main(["train", "--config", write_cfg(out, text), "--out", str(out)]) == 0
+        return str(out / "params.bin")
+
+    def job(self, tmp_path, params_path, monkeypatch, slack_samples=200):
+        """Run the job; return its config, its slack and its judged check."""
+        text = shipped_cfg(
+            "bound.cfg", ("trials = 100", "trials = 3"),
+            ("slack_samples = 200", f"slack_samples = {slack_samples}"),
+        )
+        tmp_path.mkdir(exist_ok=True)
+        cfg = write_cfg(tmp_path, text)
+        seen = {}
+        estimate_slack, judge = bounds.estimate_slack, bounds.BoundTrials.judge
+
+        def record_slack(*args):
+            seen["slack"] = estimate_slack(*args)
+            return seen["slack"]
+
+        def record_judge(trials, pac, slack):
+            seen["check"] = judge(trials, pac, slack)
+            return seen["check"]
+
+        monkeypatch.setattr(bounds, "estimate_slack", record_slack)
+        monkeypatch.setattr(bounds.BoundTrials, "judge", record_judge)
+        args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", params_path]
+        assert main(args + ["--check"]) == cli.EXIT_OK
+        monkeypatch.undo()
+        return parse_config(cfg), seen["slack"], seen["check"]
+
+    def test_check_trials_do_not_depend_on_the_slack_samples(
+        self, params_path, tmp_path, monkeypatch
+    ):
+        # With one stream for the slack and the check, the trials' fresh
+        # datasets moved with the number of slack draws.
+        _, slack_a, a = self.job(tmp_path / "a", params_path, monkeypatch, 200)
+        _, slack_b, b = self.job(tmp_path / "b", params_path, monkeypatch, 100)
+        assert slack_a != slack_b
+        assert a.true_risks == b.true_risks
+        assert a.empirical_risks == b.empirical_risks
+        assert a.kl_values == b.kl_values
+
+    def test_check_equals_a_serial_check_on_its_own_stream(
+        self, params_path, tmp_path, monkeypatch
+    ):
+        from fedvi.datagen import generate_hierarchical
+
+        cfg, slack, got = self.job(tmp_path, params_path, monkeypatch)
+        task = generate_hierarchical(cfg.gen)[1]
+        rng = substream(cfg.seed, DOMAIN_BOUND_CHECK)
+        trials = bounds.bound_holds_check(task, load_params(params_path), cfg.pac, 3, rng)
+        want = trials.judge(cfg.pac, slack)
+        assert got == want
+        assert json.loads((tmp_path / "bound.json").read_text())["holds_fraction"] == (
+            want.holding_fraction
+        )
 
 
 class TestNothingToEvaluate:
