@@ -262,44 +262,29 @@ def estimate_slack(
 
 
 @dataclass
-class BoundCheckResult:
-    holding_fraction: float
-    trials: int
-    slack: float
-    rhs_values: list[float]
-    true_risks: list[float]
-    empirical_risks: list[float]
-    kl_values: list[float]
-
-
-@dataclass
 class BoundTrials:
-    """Per-trial totals of ``bound_holds_check``, which need no slack."""
+    """Per-trial totals of ``bound_holds_check``, one entry a trial; the
+    RHS and the holding fraction follow from them under a slack."""
 
     empirical_risks: list[float] = field(default_factory=list)
     kl_values: list[float] = field(default_factory=list)
     true_risks: list[float] = field(default_factory=list)
 
-    def judge(self, cfg: PacBayesConfig, slack: float) -> BoundCheckResult:
-        """Each trial's RHS under ``slack``, the delta-scaled log-moment term
-        that ``estimate_slack`` returns, and the fraction of trials on
-        which it is at least the true risk (1.0 for no trials)."""
+    def rhs_values(self, cfg: PacBayesConfig, slack: float) -> list[float]:
+        """Each trial's RHS under ``slack``, the delta-scaled log-moment
+        term that ``estimate_slack`` returns."""
         moment = slack - math.log(1.0 / cfg.delta)
-        rhs = [
+        return [
             pacbayes_rhs(emp, kl, cfg.eta, cfg.delta, moment)
             for emp, kl in zip(self.empirical_risks, self.kl_values)
         ]
-        trials = len(rhs)
+
+    def holding_fraction(self, cfg: PacBayesConfig, slack: float) -> float:
+        """The fraction of trials whose RHS under ``slack`` is at least
+        the true risk (1.0 for no trials)."""
+        rhs = self.rhs_values(cfg, slack)
         holds = sum(r >= t for r, t in zip(rhs, self.true_risks))
-        return BoundCheckResult(
-            holding_fraction=holds / trials if trials else 1.0,
-            trials=trials,
-            slack=slack,
-            rhs_values=rhs,
-            true_risks=self.true_risks,
-            empirical_risks=self.empirical_risks,
-            kl_values=self.kl_values,
-        )
+        return holds / len(rhs) if rhs else 1.0
 
 
 ClientAudit = namedtuple("ClientAudit", "b_beta beta_draws n_query gibbs_nll kl")
@@ -366,7 +351,8 @@ def bound_holds_check(
     rng: np.random.Generator,
 ) -> BoundTrials:
     """Empirical risk, KL and true risk of each of ``trials`` fresh-dataset
-    trials; ``BoundTrials.judge`` then compares the RHS with the true risk.
+    trials; ``BoundTrials.holding_fraction`` then compares the RHS with the
+    true risk.
 
     Per trial: draw a fresh dataset from the task's client processes,
     audit each client (``client_posterior_audit``: Gibbs empirical risk on

@@ -324,7 +324,7 @@ def ablation_grid(cfg: ExperimentConfig, taus: str) -> list[float]:
             raise ConfigError(f"--taus: {text!r} is not a number") from None
         if not (math.isfinite(tau) and tau >= 0):
             raise ConfigError(f"--taus: a KL weight must be finite and >= 0, got {text}")
-        grid.add(tau)
+        grid.add(tau + 0.0)  # -0.0 reads 0.0
     if not grid:
         raise ConfigError("ablation requires a nonempty tau list")
     if cfg.train.algorithm != "fedvi":
@@ -450,9 +450,8 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
     seconds = {"slack_s": slack_s}
     if checking is not None:
         trials, seconds["check_s"] = checking.result()
-        res = trials.judge(cfg.pac, slack_scaled)
-        report["holds_fraction"] = res.holding_fraction
-        report["trials"] = res.trials
+        report["holds_fraction"] = trials.holding_fraction(cfg.pac, slack_scaled)
+        report["trials"] = len(trials.true_risks)
 
     seconds["job_s"] = time.perf_counter() - t_job
     keys = list(report)

@@ -110,25 +110,23 @@ class RoundReport:
 
 
 @dataclass
-class ClientUpdate:
-    client_id: int
-    delta: np.ndarray  # [P], laid out as FedVIParams.flat
-    weight: int
-    mean_loss: float
-    loss_sum: float
-    nll_sum: float
-    reg_sum: float  # sum over batches of kl / batch_size (tau-free)
-    kl_raw_sum: float
-    steps: int
-
-
-@dataclass
 class CohortUpdate:
-    """One cohort's local training: the updates of the clients that trained,
-    in cohort order, the number of clients skipped, and the total number of
-    local steps taken."""
+    """One cohort's local training, one row per client that trained, rows
+    in client-id order: ``deltas`` [C' x P] holds each client's
+    pseudo-gradient (initial minus final parameters, laid out as
+    ``FedVIParams.flat``), ``weights`` its training example count,
+    ``client_steps`` its local steps, and the loss sums are over its
+    steps (``reg_sum`` of kl / batch size, tau-free). ``skipped`` counts
+    the clients that did not train and ``steps`` is the cohort's total."""
 
-    updates: list[ClientUpdate]
+    client_ids: list[int]
+    deltas: np.ndarray
+    weights: np.ndarray
+    client_steps: np.ndarray
+    loss_sum: np.ndarray
+    nll_sum: np.ndarray
+    reg_sum: np.ndarray
+    kl_raw_sum: np.ndarray
     skipped: int
     steps: int
 
@@ -220,11 +218,12 @@ def client_update(
     cohort. A client with fewer training rows than ``batch_size`` still
     pays for ``batch_size`` rows a step.
 
-    Each ClientUpdate holds the pseudo-gradient delta = initial - final
-    (the client's row of the cohort matrix taken from the global vector),
-    the client's training example count as aggregation weight, and loss
-    statistics. Clients with no batch (``ArchConfig.batch_slices``) are skipped.
-    The copies are discarded: clients are stateless. A NonFiniteError, from
+    The trained rows, gathered once into client-id order (ties in cohort
+    order) and subtracted in place from the global vector, are the
+    ``CohortUpdate``'s deltas = initial - final, beside each client's
+    training example count as aggregation weight and its loss sums.
+    Clients with no batch (``ArchConfig.batch_slices``) are skipped. The
+    cohort matrix is discarded: clients are stateless. A NonFiniteError, from
     a step's loss or from a row that a step's update left non-finite, names
     the client and its own batch index of the first failing client in
     cohort order, at the earliest failing step.
@@ -274,7 +273,8 @@ def client_update(
         theta.flat -= step_grad
         return parts
 
-    loss_sum, nll_sum, reg_sum, kl_sum = (np.zeros(len(order)) for _ in range(4))
+    sums = np.zeros((4, len(order)))
+    loss_sum, nll_sum, reg_sum, kl_sum = sums
     for epoch, j in itertools.product(range(cfg.local_epochs), range(steps)):
         n = int(np.count_nonzero(sizes[j]))
         try:
@@ -300,26 +300,25 @@ def client_update(
         nll_sum[:n] += parts.nll
         reg_sum[:n] += parts.kl / sizes[j, :n]
         kl_sum[:n] += parts.kl
-    updates = []
-    for row, k in sorted(enumerate(order), key=lambda pair: pair[1]):
-        client_steps = cfg.local_epochs * plan[k]
-        updates.append(
-            ClientUpdate(
-                client_id=clients[k].client_id,
-                delta=global_params.flat - params.flat[row],
-                weight=clients[k].n_train,
-                mean_loss=float(loss_sum[row]) / client_steps,
-                loss_sum=float(loss_sum[row]),
-                nll_sum=float(nll_sum[row]),
-                reg_sum=float(reg_sum[row]),
-                kl_raw_sum=float(kl_sum[row]),
-                steps=client_steps,
-            )
-        )
+    rows = np.array(
+        sorted(range(len(order)), key=lambda row: (clients[order[row]].client_id, order[row])),
+        dtype=np.intp,
+    )
+    kept = [order[row] for row in rows]
+    deltas = params.flat[rows]
+    np.subtract(global_params.flat, deltas, out=deltas)
+    loss_sum, nll_sum, reg_sum, kl_sum = sums[:, rows]
     return CohortUpdate(
-        updates=updates,
+        client_ids=[clients[k].client_id for k in kept],
+        deltas=deltas,
+        weights=np.array([clients[k].n_train for k in kept], dtype=np.int64),
+        client_steps=cfg.local_epochs * np.array([plan[k] for k in kept], dtype=np.int64),
+        loss_sum=loss_sum,
+        nll_sum=nll_sum,
+        reg_sum=reg_sum,
+        kl_raw_sum=kl_sum,
         skipped=len(clients) - len(order),
-        steps=sum(u.steps for u in updates),
+        steps=cfg.local_epochs * sum(plan),
     )
 
 
@@ -330,17 +329,19 @@ def init_server(arch: ArchConfig, seed: int) -> ServerState:
 
 def server_apply(
     state: ServerState,
-    deltas: list[np.ndarray],
-    weights: list[int],
+    deltas: np.ndarray | list[np.ndarray],
+    weights: np.ndarray | list[int],
     cfg: TrainConfig,
 ) -> ServerState:
     """Example-weighted mean pseudo-gradient into SGD-with-momentum.
 
-    Each delta is one [P] vector laid out as ``FedVIParams.flat``; the mean
-    adds them in the order given. A NonFiniteError names the first block,
-    in ``block_shapes`` order, that the update left non-finite.
+    ``deltas`` is a [C x P] matrix (``CohortUpdate.deltas``) or a list of
+    [P] vectors, each laid out as ``FedVIParams.flat``; the mean adds the
+    rows one at a time in the order given, so both forms give the same
+    bits. A NonFiniteError names the first block, in ``block_shapes``
+    order, that the update left non-finite.
     """
-    if not deltas:
+    if len(deltas) == 0:
         raise ValueError("server_apply needs at least one client delta")
     if len(deltas) != len(weights) or any(w <= 0 for w in weights):
         raise ValueError("weights must be positive and align with deltas")
@@ -656,14 +657,13 @@ def run_training(
                 cfg,
                 [substream(cfg.seed, DOMAIN_CLIENT, round_index, cid) for cid in cohort],
             )
-            updates = sorted(trained.updates, key=lambda u: u.client_id)
             total_skipped += trained.skipped
-            if not updates:
+            if not trained.client_ids:
                 raise DegenerateRoundError(
                     f"round {round_index}: every cohort client was degenerate "
                     f"(no batch of {arch.min_batch} training examples)"
                 )
-            server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
+            server_apply(state, trained.deltas, trained.weights, cfg)
             cumulative_steps += trained.steps
 
             part_acc = nonpart_acc = None
@@ -683,9 +683,10 @@ def run_training(
             RoundReport(
                 round_index=round_index,
                 cohort=cohort,
-                mean_client_loss=float(np.mean([u.mean_loss for u in updates])),
-                loss_sum=float(sum(u.loss_sum for u in updates)),
-                kl_mean=float(sum(u.kl_raw_sum for u in updates) / max(trained.steps, 1)),
+                mean_client_loss=float(np.mean(trained.loss_sum / trained.client_steps)),
+                # sequential sums: np.sum's pairwise sum may round differently
+                loss_sum=float(sum(trained.loss_sum.tolist())),
+                kl_mean=float(sum(trained.kl_raw_sum.tolist()) / max(trained.steps, 1)),
                 part_acc=part_acc,
                 nonpart_acc=nonpart_acc,
                 duration_s=time.perf_counter() - t0,

@@ -61,10 +61,13 @@ def replay_rounds(cfg, arch, ds):
             cfg.cohort_size,
             substream(cfg.seed, DOMAIN_COHORT, round_index),
         )
-        updates = []
+        deltas, weights, losses = [], [], []
         for cid in sorted(cohort):
             rng = substream(cfg.seed, DOMAIN_CLIENT, round_index, cid)
-            updates += client_update(state.params, [by_id[cid]], cfg, [rng]).updates
-        server_apply(state, [u.delta for u in updates], [u.weight for u in updates], cfg)
-        loss_sums.append(float(sum(u.loss_sum for u in updates)))
+            alone = client_update(state.params, [by_id[cid]], cfg, [rng])
+            deltas += list(alone.deltas)
+            weights += alone.weights.tolist()
+            losses += alone.loss_sum.tolist()
+        server_apply(state, deltas, weights, cfg)
+        loss_sums.append(float(sum(losses)))
     return state, loss_sums

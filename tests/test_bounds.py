@@ -310,16 +310,16 @@ class TestBoundHoldsCheck:
     def test_zero_trials_is_vacuously_one(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
-        res = bound_holds_check(task, params, pb, 0, substream(4, 0)).judge(pb, slack=1.0)
-        assert res.holding_fraction == 1.0
+        trials = bound_holds_check(task, params, pb, 0, substream(4, 0))
+        assert trials.holding_fraction(pb, slack=1.0) == 1.0
 
     def test_overestimated_slack_never_lowers_the_fraction(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
-        base = bound_holds_check(task, params, pb, 5, substream(4, 1)).judge(pb, slack=5.0)
-        bumped = bound_holds_check(task, params, pb, 5, substream(4, 1)).judge(pb, slack=15.0)
-        assert bumped.holding_fraction >= base.holding_fraction
-        assert all(a <= b for a, b in zip(base.rhs_values, bumped.rhs_values))
+        trials = bound_holds_check(task, params, pb, 5, substream(4, 1))
+        assert trials.holding_fraction(pb, slack=15.0) >= trials.holding_fraction(pb, slack=5.0)
+        base, bumped = trials.rhs_values(pb, slack=5.0), trials.rhs_values(pb, slack=15.0)
+        assert all(a <= b for a, b in zip(base, bumped))
 
     def test_slack_under_the_true_risk_fails_the_check(self):
         # Negative control: the RHS is linear in the slack and the trials'
@@ -328,21 +328,18 @@ class TestBoundHoldsCheck:
         # RHS under its true risk.
         task, params = self._trained()
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
-        base = bound_holds_check(task, params, pb, 5, substream(4, 5)).judge(pb, slack=5.0)
-        assert base.holding_fraction == 1.0
-        margin = max(r - t for r, t in zip(base.rhs_values, base.true_risks))
-        low = bound_holds_check(task, params, pb, 5, substream(4, 5)).judge(
-            pb, slack=5.0 - pb.eta * (margin + 1.0)
-        )
-        assert low.true_risks == base.true_risks
-        assert all(r < t for r, t in zip(low.rhs_values, low.true_risks))
-        assert low.holding_fraction == 0.0 < 0.95
+        trials = bound_holds_check(task, params, pb, 5, substream(4, 5))
+        assert trials.holding_fraction(pb, slack=5.0) == 1.0
+        margin = max(r - t for r, t in zip(trials.rhs_values(pb, slack=5.0), trials.true_risks))
+        low = 5.0 - pb.eta * (margin + 1.0)
+        assert all(r < t for r, t in zip(trials.rhs_values(pb, low), trials.true_risks))
+        assert trials.holding_fraction(pb, low) == 0.0 < 0.95
 
     def test_details_align_with_rhs(self):
         task, params = self._trained()
         pb = PacBayesConfig(eta=2.0, delta=0.2, slack_samples=10, posterior_samples=4)
-        res = bound_holds_check(task, params, pb, 3, substream(4, 2)).judge(pb, slack=7.0)
-        for rhs, emp, kl in zip(res.rhs_values, res.empirical_risks, res.kl_values):
+        res = bound_holds_check(task, params, pb, 3, substream(4, 2))
+        for rhs, emp, kl in zip(res.rhs_values(pb, slack=7.0), res.empirical_risks, res.kl_values):
             want = pacbayes_rhs(emp, kl, pb.eta, pb.delta, 7.0 - math.log(1 / pb.delta))
             assert abs(rhs - want) < 1e-10
 
@@ -379,7 +376,7 @@ class TestBoundHoldsCheck:
         params.theta_cls[-1][..., 0] = -2000.0
         draws = 4
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=draws)
-        res = bound_holds_check(task, params, pb, 1, substream(4, 3)).judge(pb, slack=5.0)
+        res = bound_holds_check(task, params, pb, 1, substream(4, 3))
         assert math.isfinite(res.true_risks[0])
 
         # The same trial, one draw at a time, on a replay of the check's stream.

@@ -510,6 +510,21 @@ class TestCliCommands:
         assert len(lines) == 2  # header plus the single zero row
         assert lines[1].startswith("0.0,")
 
+    @pytest.mark.parametrize("taus", ["-0", "0,-0"])
+    def test_ablate_negative_zero_is_the_zero_row(self, taus, tmp_path, capsys):
+        # The grid once kept the -0.0 parsed first against the zero it adds,
+        # so the reference row read -0.0.
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        assert main(["ablate", "--config", cfg, "--out", str(out), f"--taus={taus}"]) == 0
+        lines = [
+            line
+            for line in (out / "ablation.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(lines) == 2 and lines[1].startswith("0.0,")
+        assert capsys.readouterr().out.startswith("tau=0:")
+
     def test_ablate_writes_sorted_table_with_zero(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "run")
@@ -950,7 +965,7 @@ class TestBoundCheckStream:
         return str(out / "params.bin")
 
     def job(self, tmp_path, params_path, monkeypatch, slack_samples=200):
-        """Run the job; return its config, its slack and its judged check."""
+        """Run the job; return its config, its slack and its check's trials."""
         text = shipped_cfg(
             "bound.cfg", ("trials = 100", "trials = 3"),
             ("slack_samples = 200", f"slack_samples = {slack_samples}"),
@@ -958,18 +973,18 @@ class TestBoundCheckStream:
         tmp_path.mkdir(exist_ok=True)
         cfg = write_cfg(tmp_path, text)
         seen = {}
-        estimate_slack, judge = bounds.estimate_slack, bounds.BoundTrials.judge
+        estimate_slack, holds_check = bounds.estimate_slack, bounds.bound_holds_check
 
         def record_slack(*args):
             seen["slack"] = estimate_slack(*args)
             return seen["slack"]
 
-        def record_judge(trials, pac, slack):
-            seen["check"] = judge(trials, pac, slack)
+        def record_check(*args):
+            seen["check"] = holds_check(*args)
             return seen["check"]
 
         monkeypatch.setattr(bounds, "estimate_slack", record_slack)
-        monkeypatch.setattr(bounds.BoundTrials, "judge", record_judge)
+        monkeypatch.setattr(bounds, "bound_holds_check", record_check)
         args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", params_path]
         assert main(args + ["--check"]) == cli.EXIT_OK
         monkeypatch.undo()
@@ -995,11 +1010,10 @@ class TestBoundCheckStream:
         cfg, slack, got = self.job(tmp_path, params_path, monkeypatch)
         task = generate_hierarchical(cfg.gen)[1]
         rng = substream(cfg.seed, DOMAIN_BOUND_CHECK)
-        trials = bounds.bound_holds_check(task, load_params(params_path), cfg.pac, 3, rng)
-        want = trials.judge(cfg.pac, slack)
+        want = bounds.bound_holds_check(task, load_params(params_path), cfg.pac, 3, rng)
         assert got == want
         assert json.loads((tmp_path / "bound.json").read_text())["holds_fraction"] == (
-            want.holding_fraction
+            want.holding_fraction(cfg.pac, slack)
         )
 
 

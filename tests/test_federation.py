@@ -47,9 +47,9 @@ def make_ds(seed=3, c=8, holdout=2, n=(40, 60), d=5, k=3, sigma_beta=1.0, shift=
 
 
 def update_alone(params, client, cfg, rng):
-    """The client's update from a cohort of one, or None when it is skipped."""
+    """The client's update, a cohort of one, or None when it is skipped."""
     cohort = client_update(params, [client], cfg, [rng])
-    return cohort.updates[0] if cohort.updates else None
+    return cohort if cohort.client_ids else None
 
 
 def make_cfg(**overrides) -> TrainConfig:
@@ -103,8 +103,8 @@ class TestClientUpdate:
             params, ds.clients[2], make_cfg(client_lr=0.0), substream(1, 0)
         )
         assert update is not None
-        assert np.array_equal(update.delta, np.zeros_like(update.delta))
-        assert update.weight == ds.clients[2].n_train
+        assert np.array_equal(update.deltas, np.zeros_like(update.deltas))
+        assert update.weights.tolist() == [ds.clients[2].n_train]
 
     def test_single_step_matches_analytic_gradient(self):
         # one linear embed layer, one batch, fedavg path: the update is
@@ -141,7 +141,7 @@ class TestClientUpdate:
             "embed.0.b": d_rep.sum(axis=0),
         }
 
-        delta = FedVIParams(update_alone(params, client, cfg, stream).delta, arch).blocks
+        delta = FedVIParams(update_alone(params, client, cfg, stream).deltas[0], arch).blocks
         for name, g in grads.items():
             assert np.max(np.abs(delta[name] - cfg.client_lr * g)) < 1e-10
 
@@ -151,8 +151,8 @@ class TestClientUpdate:
         cfg = make_cfg()
         u1 = update_alone(params, ds.clients[3], cfg, substream(9, 4))
         u2 = update_alone(params, ds.clients[3], cfg, substream(9, 4))
-        assert np.array_equal(u1.delta, u2.delta)
-        assert u1.loss_sum == u2.loss_sum
+        assert np.array_equal(u1.deltas, u2.deltas)
+        assert np.array_equal(u1.loss_sum, u2.loss_sum)
 
     def test_fedavg_delta_is_zero_on_the_constructor(self, rng):
         # fedavg's loss never reaches the posterior constructor: its gradient
@@ -160,7 +160,7 @@ class TestClientUpdate:
         ds = make_ds()
         params = init_params(small_arch(), rng)
         update = update_alone(params, ds.clients[2], make_cfg(algorithm="fedavg"), rng)
-        delta = FedVIParams(update.delta, params.arch).blocks
+        delta = FedVIParams(update.deltas[0], params.arch).blocks
         for name, block in delta.items():
             assert np.all(block == 0.0) == name.startswith("post."), name
 
@@ -186,7 +186,8 @@ class TestClientUpdate:
         params = init_params(small_arch(), rng)
         tiny = ClientDataset(0, rng.standard_normal((3, 5)), np.zeros(3, np.int64), 1)
         result = client_update(params, [tiny], make_cfg(), [substream(0, 0)])
-        assert (result.updates, result.skipped, result.steps) == ([], 1, 0)
+        assert (result.client_ids, result.skipped, result.steps) == ([], 1, 0)
+        assert result.deltas.shape == (0, params.flat.size)
 
     def test_statelessness_copies_globals(self, rng):
         ds = make_ds()
@@ -202,8 +203,8 @@ class TestServerApply:
         cfg = make_cfg(server_lr=1.0, server_momentum=0.0)
         state = init_server(small_arch(), cfg.seed)
         update = update_alone(state.params, ds.clients[2], cfg, substream(3, 1))
-        final = state.params.flat - update.delta
-        server_apply(state, [update.delta], [update.weight], cfg)
+        final = state.params.flat - update.deltas[0]
+        server_apply(state, update.deltas, update.weights, cfg)
         assert np.max(np.abs(state.params.flat - final)) < 1e-12
 
     def test_weighted_mean_of_two_deltas(self, rng):
@@ -215,6 +216,19 @@ class TestServerApply:
         server_apply(state, [d1, d2], [1, 3], cfg)
         moved = before - state.params.flat
         assert np.max(np.abs(moved - 4.0)) < 1e-12  # (1*1 + 3*5) / 4
+
+    def test_a_delta_matrix_equals_the_list_of_its_rows(self):
+        cfg = make_cfg(server_lr=0.7, server_momentum=0.9)
+        rng = substream(602, 0)
+        matrix, listed = init_server(small_arch(), cfg.seed), init_server(small_arch(), cfg.seed)
+        for _ in range(3):
+            deltas = rng.standard_normal((9, matrix.params.flat.size))
+            weights = rng.integers(1, 50, 9)
+            server_apply(matrix, deltas, weights, cfg)
+            server_apply(listed, list(deltas), weights.tolist(), cfg)
+        assert np.array_equal(matrix.params.flat, listed.params.flat)
+        assert np.array_equal(matrix.momentum, listed.momentum)
+        assert matrix.round_index == listed.round_index == 3
 
     def test_momentum_decay_follows_geometric_series(self, rng):
         cfg = make_cfg(server_lr=0.7, server_momentum=0.9)
@@ -444,6 +458,9 @@ def ragged_clients(rng, arch, train_sizes, test_sizes):
     return clients
 
 
+# CohortUpdate's arrays of one row per trained client
+ROW_FIELDS = ("deltas", "weights", "client_steps", "loss_sum", "nll_sum", "reg_sum", "kl_raw_sum")
+
 # With batch size 8: tails of 3, 2 (a client of two examples), 5 and 5, a
 # trailing single example that is dropped, no tail, and a client of one
 # example, which is skipped.
@@ -475,15 +492,29 @@ class TestLockstepCohort:
         assert cohort.skipped == 1
         assert cohort.steps == sum(u.steps for u in alone)
         assert len(stacked_steps) < cohort.steps  # clients did share steps
-        assert [u.client_id for u in cohort.updates] == [u.client_id for u in alone]
-        for got, want in zip(cohort.updates, alone):
-            assert got.steps == want.steps and got.weight == want.weight
-            assert (got.mean_loss, got.loss_sum, got.nll_sum, got.reg_sum, got.kl_raw_sum) == (
-                want.mean_loss, want.loss_sum, want.nll_sum, want.reg_sum, want.kl_raw_sum
-            )
-            assert got.delta.shape == want.delta.shape
-            assert np.array_equal(got.delta, want.delta)
-            assert np.any(got.delta != 0.0)
+        assert cohort.client_ids == [u.client_ids[0] for u in alone]
+        for name in ROW_FIELDS:
+            want = np.concatenate([getattr(u, name) for u in alone])
+            assert np.array_equal(getattr(cohort, name), want), name
+        assert np.all(np.any(cohort.deltas != 0.0, axis=1))
+
+    @pytest.mark.parametrize("algorithm", ["fedvi", "fedavg"])
+    def test_rows_are_in_client_id_order_whatever_the_cohort_order(self, algorithm):
+        arch = small_arch()
+        clients = ragged_clients(substream(41, 0), arch, RAGGED_TRAIN, [4] * 7)
+        cfg = make_cfg(batch_size=8, algorithm=algorithm, client_lr=0.05)
+        params = init_params(arch, substream(41, 1))
+        shuffled = [clients[k] for k in (4, 0, 6, 2, 5, 1, 3)]
+
+        def update(cohort):
+            rngs = [substream(cfg.seed, DOMAIN_CLIENT, 1, c.client_id) for c in cohort]
+            return client_update(params, cohort, cfg, rngs)
+
+        a, b = update(clients), update(shuffled)
+        assert a.client_ids == b.client_ids == sorted(a.client_ids)
+        assert a.skipped == b.skipped == 1 and a.steps == b.steps
+        for name in ROW_FIELDS:
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize(
         "algorithm, local_epochs",
@@ -620,7 +651,7 @@ class TestMinBatch:
         ]
         assert sizes == [[8, 8], [], [8, 3]]
         cohort = client_update(params, clients, cfg, rngs())
-        assert cohort.skipped == 1 and [u.steps for u in cohort.updates] == [2, 2]
+        assert cohort.skipped == 1 and cohort.client_steps.tolist() == [2, 2]
 
         res = evaluate(params, clients, cfg)
         assert res.excluded == 1
