@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import struct
 import sys
 import time
@@ -334,22 +335,33 @@ def ablation_grid(cfg: ExperimentConfig, taus: str) -> list[float]:
     return sorted(grid | {0.0})
 
 
+def _replace_lines(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` to ``path`` through a temporary file in the same
+    directory, so a write that fails or is killed leaves the old file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_ablate(cfg: ExperimentConfig, taus: str, out_arg: str | None) -> int:
     """One full training run per KL weight of the grid over a shared dataset,
-    each under its own derived seed. ``ablation.csv`` is rewritten after
+    each under its own derived seed. ``ablation.csv`` is replaced after
     every run, so a sweep that fails or is killed keeps the rows it finished."""
     grid = ablation_grid(cfg, taus)
     ds, _ = _dataset_for(cfg)
     _check_evaluable(ds, cfg.train, cfg.arch, training=True)
     path = _out_dir(cfg, out_arg) / "ablation.csv"
     lines = _provenance("ablation", cfg) + ["tau,part_acc,nonpart_acc,gap"]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _replace_lines(path, lines)
     for i, tau in enumerate(grid):
         train_cfg = dataclasses.replace(cfg.train, tau=tau, seed=_ablation_seed(cfg.seed, i))
         s = run_training(train_cfg, cfg.arch, ds).summary
         part, nonpart, gap = (_fmt(s[key]) for key in ("part_acc", "nonpart_acc", "gap"))
         lines.append(f"{_fmt(tau)},{part},{nonpart},{gap}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _replace_lines(path, lines)
         print(f"tau={tau:g}: part={part} nonpart={nonpart} gap={gap}")
     print(f"wrote {path}")
     return EXIT_OK
@@ -398,6 +410,8 @@ def cmd_bound(cfg: ExperimentConfig, params_path: str, out_arg: str | None, chec
     t_job = time.perf_counter()
     if cfg.gen is None:
         raise ConfigError("bound requires data.source = generate (slack needs the generator)")
+    if check and cfg.bound_trials == 0:
+        raise ConfigError("bound --check needs bound.trials >= 1, got 0")
     out = _out_dir(cfg, out_arg)
     ds, task = _dataset_for(cfg)
     params = _load_params_for(cfg, params_path)

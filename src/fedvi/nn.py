@@ -1,17 +1,18 @@
 """Dense substrate: float64 tensors and the reverse-pass entry point.
 
-A ``Tensor`` is a node in a graph that :func:`backward` replays in reverse
-to produce exact gradients for every named leaf reachable from a scalar
-loss. The model builds that graph as one :func:`fused` node per minibatch,
-or per stack of minibatches, over one leaf, its flat parameter vector: the
-node's value is computed on plain arrays and its reverse pass is
-hand-derived, so the graph is the loss plus that leaf. :func:`softmax_nll`
-works on arrays, one batch or a stack of them, and returns its gradient
-alongside.
+A ``Tensor`` is a bare graph node: its array, its parents and ``grads``,
+the hand-derived map from an upstream gradient to one gradient per parent.
+:func:`fused` builds every node, and :func:`backward` replays the graph in
+reverse, adding up what ``grads`` returns for each parent, to produce exact
+gradients for every named leaf reachable from a scalar loss. The model
+builds one ``fused`` node per minibatch, or per stack of minibatches, over
+one leaf, its flat parameter vector, so the graph is the loss plus that
+leaf. :func:`softmax_nll` works on arrays, one batch or a stack of them,
+and returns its gradient alongside.
 
-The one-node-per-op graph ops (``add`` ... ``dropout``) remain because
-``benchmarks/tracing.py`` names them: it counts their calls in traced
-runs. The model does not use them.
+The graph ops (``add`` ... ``dropout``), each one ``fused`` node, remain
+only because ``benchmarks/tracing.py`` names them: it counts their calls
+in traced runs. The model does not use them.
 
 ``finite_diff_grad`` is the independent test oracle for every gradient and
 must never share code with the reverse-mode path.
@@ -57,83 +58,49 @@ def assert_all_finite(arr: np.ndarray, what: str) -> None:
 class Tensor:
     """A float64 array plus the graph edges needed for reverse mode.
 
-    ``parents`` and ``_push`` are empty for leaves. ``_push(grad, sink)``
-    propagates an upstream gradient to the parents through ``sink``.
-    ``name`` names a leaf whose gradient :func:`backward` returns.
+    ``parents`` is empty and ``grads`` None for leaves; ``grads(g)`` maps
+    an upstream gradient to one gradient per parent, in order. ``name``
+    names a leaf whose gradient :func:`backward` returns.
     """
 
-    __slots__ = ("array", "parents", "_push", "requires_grad", "name")
-
-    # Defer mixed ndarray/Tensor arithmetic to the reflected operators below.
-    __array_ufunc__ = None
+    __slots__ = ("array", "parents", "grads", "requires_grad", "name")
 
     def __init__(
         self,
         array: np.ndarray,
         parents: tuple["Tensor", ...] = (),
-        push: Callable | None = None,
+        grads: Callable[[np.ndarray], Sequence[np.ndarray]] | None = None,
         requires_grad: bool = False,
         name: str | None = None,
     ):
         self.array = array
         self.parents = parents
-        self._push = push
+        self.grads = grads
         self.requires_grad = requires_grad
         self.name = name
-
-    @staticmethod
-    def const(value) -> "Tensor":
-        return Tensor(np.asarray(value, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.array.ravel()
 
     def item(self) -> float:
         if self.array.size != 1:
             raise ShapeMismatchError(f"item() on tensor of shape {self.shape}")
         return float(self.array.reshape(()))
 
-    def assert_finite(self, what: str = "tensor") -> "Tensor":
-        assert_all_finite(self.array, what)
-        return self
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; floats and ndarrays are coerced to constant leaves.
-    def __add__(self, other) -> "Tensor":
-        return add(self, _coerce(other))
-
-    def __radd__(self, other) -> "Tensor":
-        return add(_coerce(other), self)
-
-    def __sub__(self, other) -> "Tensor":
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other) -> "Tensor":
-        return add(_coerce(other), neg(self))
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other) -> "Tensor":
-        return mul(_coerce(other), self)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, _coerce(other))
-
-
-def _coerce(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor.const(value)
+def fused(
+    value,
+    parents: Sequence[Tensor],
+    grads: Callable[[np.ndarray], Sequence[np.ndarray]],
+) -> Tensor:
+    """One graph node for a function of ``parents`` with a hand-derived
+    reverse pass: ``grads(g)`` maps the upstream gradient ``g`` to one
+    gradient per parent, in order."""
+    array = np.asarray(value, dtype=np.float64)
+    if not any(p.requires_grad for p in parents):
+        return Tensor(array)
+    return Tensor(array, tuple(parents), grads, requires_grad=True)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -149,142 +116,88 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _node(array: np.ndarray, parents: tuple[Tensor, ...], push: Callable) -> Tensor:
-    needs = any(p.requires_grad for p in parents)
-    if not needs:
-        return Tensor(array)
-    return Tensor(array, parents=parents, push=push, requires_grad=True)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.array + b.array
-
-    def push(g, sink):
-        sink(a, _unbroadcast(g, a.array.shape))
-        sink(b, _unbroadcast(g, b.array.shape))
-
-    return _node(out, (a, b), push)
+    return fused(
+        a.array + b.array,
+        (a, b),
+        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
+    )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.array * b.array
-
-    def push(g, sink):
-        sink(a, _unbroadcast(g * b.array, a.array.shape))
-        sink(b, _unbroadcast(g * a.array, b.array.shape))
-
-    return _node(out, (a, b), push)
+    return fused(
+        a.array * b.array,
+        (a, b),
+        lambda g: (_unbroadcast(g * b.array, a.shape), _unbroadcast(g * a.array, b.shape)),
+    )
 
 
 def neg(a: Tensor) -> Tensor:
-    def push(g, sink):
-        sink(a, -g)
-
-    return _node(-a.array, (a,), push)
+    return fused(-a.array, (a,), lambda g: (-g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.array.ndim != 2 or b.array.ndim != 2 or a.array.shape[1] != b.array.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul shapes do not conform: {a.array.shape} @ {b.array.shape}"
-        )
-    out = a.array @ b.array
-
-    def push(g, sink):
-        sink(a, g @ b.array.T)
-        sink(b, a.array.T @ g)
-
-    return _node(out, (a, b), push)
+    if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul shapes do not conform: {a.shape} @ {b.shape}")
+    return fused(a.array @ b.array, (a, b), lambda g: (g @ b.array.T, a.array.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
-    def push(g, sink):
-        sink(a, g.T)
-
-    return _node(a.array.T, (a,), push)
+    return fused(a.array.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    orig = a.array.shape
-    out = a.array.reshape(tuple(shape))
+    return fused(a.array.reshape(tuple(shape)), (a,), lambda g: (g.reshape(a.shape),))
 
-    def push(g, sink):
-        sink(a, g.reshape(orig))
 
-    return _node(out, (a,), push)
+def _scatter(a: Tensor, index) -> Callable[[np.ndarray], tuple[np.ndarray]]:
+    """Reverse pass of ``a.array[index]``: the gradient in place, zeros elsewhere."""
+
+    def grads(g):
+        full = np.zeros_like(a.array)
+        full[index] = g
+        return (full,)
+
+    return grads
 
 
 def narrow(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice ``[start, stop)`` along the last axis."""
-    out = a.array[..., start:stop]
-
-    def push(g, sink):
-        full = np.zeros_like(a.array)
-        full[..., start:stop] = g
-        sink(a, full)
-
-    return _node(out, (a,), push)
+    index = (..., slice(start, stop))
+    return fused(a.array[index], (a,), _scatter(a, index))
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
     """Slice ``[start, stop)`` along the first axis."""
-    out = a.array[start:stop]
-
-    def push(g, sink):
-        full = np.zeros_like(a.array)
-        full[start:stop] = g
-        sink(a, full)
-
-    return _node(out, (a,), push)
+    index = slice(start, stop)
+    return fused(a.array[index], (a,), _scatter(a, index))
 
 
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(0, x); shape preserved."""
-    out = np.maximum(a.array, 0.0)
-
-    def push(g, sink):
-        sink(a, g * (a.array > 0.0))
-
-    return _node(out, (a,), push)
+    return fused(np.maximum(a.array, 0.0), (a,), lambda g: (g * (a.array > 0.0),))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.array)
-
-    def push(g, sink):
-        sink(a, g * out)
-
-    return _node(out, (a,), push)
+    return fused(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
-    out = np.log(a.array)
-
-    def push(g, sink):
-        sink(a, g / a.array)
-
-    return _node(out, (a,), push)
+    return fused(np.log(a.array), (a,), lambda g: (g / a.array,))
 
 
 def mean_rows(a: Tensor) -> Tensor:
     """Mean over axis 0; a [S×m] input becomes an [m] vector."""
-    n = a.array.shape[0]
-    out = a.array.mean(axis=0)
-
-    def push(g, sink):
-        sink(a, np.broadcast_to(g / n, a.array.shape).copy())
-
-    return _node(out, (a,), push)
+    n = a.shape[0]
+    return fused(
+        a.array.mean(axis=0), (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),)
+    )
 
 
 def total(a: Tensor) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
-    out = np.asarray(a.array.sum())
-
-    def push(g, sink):
-        sink(a, np.broadcast_to(g, a.array.shape).copy())
-
-    return _node(out, (a,), push)
+    return fused(a.array.sum(), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def dense_forward(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -293,12 +206,11 @@ def dense_forward(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
         x.array.ndim != 2
         or W.array.ndim != 2
         or b.array.ndim != 1
-        or x.array.shape[1] != W.array.shape[0]
-        or b.array.shape[0] != W.array.shape[1]
+        or x.shape[1] != W.shape[0]
+        or b.shape[0] != W.shape[1]
     ):
         raise ShapeMismatchError(
-            f"dense_forward shapes do not conform: x {x.array.shape}, "
-            f"W {W.array.shape}, b {b.array.shape}"
+            f"dense_forward shapes do not conform: x {x.shape}, W {W.shape}, b {b.shape}"
         )
     return add(matmul(x, W), b)
 
@@ -309,13 +221,8 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) ->
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    mask = (rng.random(a.array.shape) >= rate) / (1.0 - rate)
-    out = a.array * mask
-
-    def push(g, sink):
-        sink(a, g * mask)
-
-    return _node(out, (a,), push)
+    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    return fused(a.array * mask, (a,), lambda g: (g * mask,))
 
 
 def softmax_nll(
@@ -364,22 +271,6 @@ def softmax_nll(
     return nll.sum(axis=-1), grad
 
 
-def fused(
-    value,
-    parents: Sequence[Tensor],
-    grads: Callable[[np.ndarray], Sequence[np.ndarray]],
-) -> Tensor:
-    """One graph node for a function of ``parents`` with a hand-derived
-    reverse pass: ``grads(g)`` maps the upstream gradient ``g`` to one
-    gradient per parent, in order."""
-
-    def push(g, sink):
-        for parent, grad in zip(parents, grads(g)):
-            sink(parent, grad)
-
-    return _node(np.asarray(value, dtype=np.float64), tuple(parents), push)
-
-
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -413,24 +304,18 @@ def backward(loss: Tensor) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     if not loss.requires_grad:
         return out
-
-    def sink(node: Tensor, g: np.ndarray) -> None:
-        if not node.requires_grad:
-            return
-        key = id(node)
-        if key in grads:
-            grads[key] = grads[key] + g
-        else:
-            grads[key] = g
-
     for node in reversed(_topo_order(loss)):
         g = grads.get(id(node))
         if g is None:
             continue
         if node.name is not None:
             out[node.name] = g
-        if node._push is not None:
-            node._push(g, sink)
+        if node.grads is None:
+            continue
+        for parent, pg in zip(node.parents, node.grads(g)):
+            if parent.requires_grad:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg
     return out
 
 

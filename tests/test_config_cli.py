@@ -757,6 +757,32 @@ class TestExitCodes:
         assert lines[0] == "tau,part_acc,nonpart_acc,gap"
         assert len(lines) == 2 and lines[1].startswith("0.0,")
 
+    def test_failed_ablation_rewrite_keeps_the_finished_rows(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        original = Path.write_text
+        writes = []
+
+        def write_text(self, data, *args, **kwargs):
+            if self.parent == out:
+                writes.append(self.name)
+                if len(writes) == 3:  # the rewrite after the second tau
+                    open(self, "w").close()
+                    raise OSError(28, "No space left on device")
+            return original(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_text)
+        cfg = write_cfg(tmp_path)
+        code = main(["ablate", "--config", cfg, "--out", str(out), "--taus", "0.01"])
+        assert code == cli.EXIT_IO
+        lines = [
+            line
+            for line in (out / "ablation.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert lines[0] == "tau,part_acc,nonpart_acc,gap"
+        assert len(lines) == 2 and lines[1].startswith("0.0,")
+        assert [p.name for p in out.iterdir()] == ["ablation.csv"]
+
     def test_ablation_without_evaluated_rounds(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN.replace("rounds = 4", "rounds = 0"))
         out = tmp_path / "run"
@@ -831,6 +857,17 @@ class TestExitCodes:
         args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", "x.bin"]
         assert main(args + ["--check"] * check) == cli.EXIT_CONFIG
         assert "bound.trials = -1 is negative" in capsys.readouterr().err
+        assert not (tmp_path / "bound.csv").exists()
+
+    @pytest.mark.parametrize("check", [True, False], ids=["check", "no-check"])
+    def test_zero_bound_trials(self, check, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("trials = 4", "trials = 0"))
+        args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", "x.bin"]
+        if check:
+            assert main(args + ["--check"]) == cli.EXIT_CONFIG
+            assert "bound.trials >= 1, got 0" in capsys.readouterr().err
+        else:  # zero trials pass; the missing params file stops the job
+            assert main(args) == cli.EXIT_IO
         assert not (tmp_path / "bound.csv").exists()
 
     @pytest.mark.parametrize(
