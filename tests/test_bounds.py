@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -23,6 +24,7 @@ from fedvi.bounds import (
     scaled_log_moment,
 )
 from fedvi.datagen import GenConfig, generate_hierarchical, sample_labels
+from fedvi.distributions import kl_diag
 from fedvi.federation import TrainConfig, iter_local_batches, run_training
 from fedvi.model import (
     ArchConfig,
@@ -62,6 +64,13 @@ def toy_train_cfg(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def fresh_lse(z, axis):
+    """log(sum(exp(z))) over ``axis``, kept as an axis of length 1, from
+    fresh arrays: the bound's log-sum-exp before it worked in place."""
+    peak = z.max(axis=axis, keepdims=True)
+    return peak + np.log(np.exp(z - peak).sum(axis=axis, keepdims=True))
 
 
 class TestElboComponents:
@@ -241,6 +250,31 @@ class TestEstimateSlack:
         monkeypatch.setattr(bounds, "SLACK_TILE_ELEMENTS", tile)
         assert estimate_slack(*args, substream(8, 0)) == want
 
+    def test_equals_an_allocating_replay_bit_for_bit(self):
+        # The estimator reuses one tile and its buffers per client and takes
+        # its log-sum-exps in place; a replay that makes fresh arrays for
+        # every draw and scores all hypotheses at once gives the same bits.
+        _, task = toy_task()
+        prior = generator_prior(task)
+        n_hyp, n_draws, eta, delta = 7, 5, 0.7, 0.1
+        got = estimate_slack(task, prior, eta, delta, n_hyp, n_draws, substream(8, 1))
+        rng = substream(8, 1)
+        cfg = task.cfg
+        r_true = np.zeros(n_hyp)
+        r_emp = np.zeros((n_hyp, n_draws))
+        for k, n_k in enumerate(task.n_per_client):
+            betas = prior.mean + prior.scale * rng.standard_normal((n_hyp, prior.dim))
+            w = np.ascontiguousarray((task.theta + betas.reshape(-1, cfg.d, cfg.num_classes)).T)
+            x_pool, p_pool = task.draw(k, TRUE_RISK_POINTS_PER_CLIENT, rng)
+            z = x_pool @ w
+            r_true += n_k * (fresh_lse(z, 0)[0] - (p_pool[..., None] * z).sum(axis=0)).mean(axis=0)
+            x, p = task.draw(k, n_draws * n_k, rng)
+            for j in range(n_draws):
+                y = sample_labels(p[:, j * n_k : (j + 1) * n_k], rng)
+                z = x[j * n_k : (j + 1) * n_k] @ w
+                r_emp[:, j] += (fresh_lse(z, 0)[0] - z[y, np.arange(n_k)]).sum(axis=0)
+        assert got == scaled_log_moment(eta * (r_true[:, None] - r_emp), delta)
+
     def test_memory_stays_bounded_by_the_tile(self):
         # All of one client's data logits would be 40,000 x 200 x 3 floats
         # (183 MiB); the tiled estimator holds one draw's 200 x 200 x 3.
@@ -348,8 +382,10 @@ class TestBoundHoldsCheck:
         ("embed", "true risk"),
     ])
     def test_nan_risk_names_trial_and_client(self, stage, what, monkeypatch):
-        # A NaN risk used to count as a trial where the bound fails. Four
-        # clients a trial, so the sixth call is trial 1's client 1.
+        # A NaN risk used to count as a trial where the bound fails. A trial
+        # audits its four clients in one call and embeds their true-risk
+        # inputs as one group, so the second call's second client is trial
+        # 1's client 1.
         task, params = self._trained()
         original = getattr(bounds, stage)
         calls = []
@@ -357,11 +393,13 @@ class TestBoundHoldsCheck:
         def poisoned(*args):
             out = original(*args)
             calls.append(stage)
-            if len(calls) != 6:
+            if len(calls) != 2:
                 return out
             if stage == "embed":
-                return np.full_like(out, np.nan)
-            return out._replace(gibbs_nll=math.nan)
+                out[1] = np.nan
+            else:
+                out[1] = out[1]._replace(gibbs_nll=math.nan)
+            return out
 
         monkeypatch.setattr(bounds, stage, poisoned)
         pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=4)
@@ -407,3 +445,121 @@ class TestBoundHoldsCheck:
             true += y_query.size * -(p_eval * log_predictive.T).sum(axis=0).mean()
         assert res.empirical_risks[0] == pytest.approx(emp, rel=1e-12)
         assert res.true_risks[0] == pytest.approx(true, rel=1e-12)
+
+    @staticmethod
+    def _ragged(k_classes):
+        """A task of five ragged clients, one too small to audit, two with
+        audit batches of one size and one cut to an audit batch of 256
+        rows, with init parameters of K classes."""
+        _, task = toy_task(c=5, n=(30, 40), d=4, k=k_classes, seed=23)
+        task = dataclasses.replace(task, n_per_client=[40, 1, 40, 27, 300])
+        params = init_params(small_arch(input_dim=4, num_classes=k_classes), substream(23, 1))
+        # 8 draws on 2000 points: two clients' true-risk logits a tile at
+        # K = 3, one at K = 10
+        pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=8)
+        return task, params, pb
+
+    @pytest.mark.parametrize("k_classes", [3, 10])
+    def test_stacked_audit_equals_one_client_passes(self, k_classes):
+        # Each client's audit, stacked with the others of its batch size,
+        # has the bits of a 2-D pass over its batch alone.
+        task, params, pb = self._ragged(k_classes)
+        arch, rng = params.arch, substream(23, 4)
+        data = [task.draw(k, n_k, rng) for k, n_k in enumerate(task.n_per_client)]
+        inputs = [
+            bounds.audit_inputs(arch, x, sample_labels(probs, rng), pb, rng) for x, probs in data
+        ]
+        assert [batch is None for batch in inputs] == [False, True, False, False, False]
+        inputs = [batch for batch in inputs if batch is not None]
+        assert [x.shape[0] for x, _, _ in inputs] == [40, 40, 27, AUDIT_BATCH_SIZE]
+        for (x, y, noise), audit in zip(inputs, bounds.client_posterior_audit(params, inputs)):
+            fwd = forward_batch(params, x)
+            q = fwd.stats.q
+            betas = q.mean + q.scale * noise
+            y_query = y[fwd.support_size :]
+            z = bounds._draw_logits(
+                params, betas, fwd.stats.b_beta, fwd.query_global, fwd.query_local
+            )
+            nll = fresh_lse(z, 1)[:, 0] - z[:, y_query, np.arange(y_query.size)]
+            assert audit.n_query == y_query.size
+            assert audit.gibbs_nll == float(nll.sum()) / pb.posterior_samples
+            assert audit.kl == float(kl_diag(q, arch.prior))
+            assert np.array_equal(audit.beta_draws, betas)
+            assert np.array_equal(audit.b_beta, fwd.stats.b_beta)
+
+    @pytest.mark.parametrize("k_classes", [3, 10])
+    def test_equals_a_per_client_replay(self, k_classes):
+        # The check draws a trial's inputs first, audits same-size batches as
+        # one stack and scores the true risks in groups; a replay of its
+        # stream, one client at a time through 2-D passes and fresh arrays,
+        # gives the same bits.
+        task, params, pb = self._ragged(k_classes)
+        got = bound_holds_check(task, params, pb, 8, substream(23, 2))
+        arch, draws = params.arch, pb.posterior_samples
+        eval_points = math.ceil(10_000 / task.cfg.c)
+        rng = substream(23, 2)
+        want = bounds.BoundTrials()
+        for _ in range(8):
+            emp = kl = true = 0.0
+            for k, n_k in enumerate(task.n_per_client):
+                batches = arch.batch_slices(n_k, AUDIT_BATCH_SIZE)
+                if not batches:
+                    continue
+                x, probs = task.draw(k, n_k, rng)
+                y = sample_labels(probs, rng)
+                noise = rng.standard_normal((draws, arch.beta_dim))
+                fwd = forward_batch(params, x[batches[0]])
+                q = fwd.stats.q
+                betas = q.mean + q.scale * noise
+                y_query = y[batches[0]][fwd.support_size :]
+                z = bounds._draw_logits(
+                    params, betas, fwd.stats.b_beta, fwd.query_global, fwd.query_local
+                )
+                nll = fresh_lse(z, 1)[:, 0] - z[:, y_query, np.arange(y_query.size)]
+                emp += float(nll.sum()) / draws
+                kl += float(kl_diag(q, arch.prior))
+
+                x_eval, p_eval = task.draw(k, eval_points, rng)
+                g_eval, l_eval = split_features(arch, embed(params, x_eval))
+                z = bounds._draw_logits(params, betas, fwd.stats.b_beta, g_eval, l_eval)
+                z = z - fresh_lse(z, 1)
+                log_predictive = fresh_lse(z, 0)[0] - math.log(draws)
+                true += y_query.size * float(-(p_eval * log_predictive).sum(axis=0).mean())
+            want.empirical_risks.append(emp)
+            want.kl_values.append(kl)
+            want.true_risks.append(true)
+        assert got.empirical_risks == want.empirical_risks
+        assert got.kl_values == want.kl_values
+        assert got.true_risks == want.true_risks
+
+    @pytest.mark.parametrize("tile", [1, bounds.SLACK_TILE_ELEMENTS, 10**9])
+    @pytest.mark.parametrize("k_classes", [3, 10])
+    def test_tile_size_changes_no_bit(self, tile, k_classes, monkeypatch):
+        # A tile of 1 audits and scores one client at a time, the default
+        # groups two clients' true risks at K = 3, and 10**9 takes every
+        # client of a trial at once.
+        task, params, pb = self._ragged(k_classes)
+        want = bound_holds_check(task, params, pb, 8, substream(23, 3))
+        monkeypatch.setattr(bounds, "SLACK_TILE_ELEMENTS", tile)
+        got = bound_holds_check(task, params, pb, 8, substream(23, 3))
+        assert got.empirical_risks == want.empirical_risks
+        assert got.kl_values == want.kl_values
+        assert got.true_risks == want.true_risks
+
+    def test_memory_stays_bounded_and_does_not_grow_with_trials(self):
+        # bound.cfg's shape: 8 clients of 200 rows, 16 draws, 1250 true-risk
+        # points a client. The check's buffers are made once per call and
+        # hold two clients' [S x K x P] logits (0.9 MiB) at a time.
+        _, task = toy_task(c=8, n=(200, 200), d=4, k=3, seed=4)
+        params = init_params(small_arch(input_dim=4), substream(4, 1))
+        pb = PacBayesConfig(eta=1.0, delta=0.1, slack_samples=10, posterior_samples=16)
+        peaks = []
+        for trials in (2, 8):
+            tracemalloc.start()
+            try:
+                bound_holds_check(task, params, pb, trials, substream(4, 2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8 * 2**20
+        assert peaks[1] < peaks[0] + 2**16

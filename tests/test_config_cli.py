@@ -938,13 +938,13 @@ class TestClientsTooSmallToSplit:
         from fedvi.datagen import generate_hierarchical
 
         audited = []
-        original = bounds.client_posterior_audit
+        original = bounds.audit_inputs
 
-        def audit(params, x, *rest):
+        def audit(arch, x, *rest):
             audited.append(x.shape[0])
-            return original(params, x, *rest)
+            return original(arch, x, *rest)
 
-        monkeypatch.setattr(bounds, "client_posterior_audit", audit)
+        monkeypatch.setattr(bounds, "audit_inputs", audit)
         cfg, code = self.bound(tmp_path, params_path, check, n_max=3)
         assert code == cli.EXIT_OK
         sizes = [c.n for c in generate_hierarchical(parse_config(cfg).gen)[0].clients]
@@ -1052,6 +1052,32 @@ class TestBoundCheckStream:
         assert json.loads((tmp_path / "bound.json").read_text())["holds_fraction"] == (
             want.holding_fraction(cfg.pac, slack)
         )
+
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_stdout_gives_each_thread_its_wall_and_cpu_seconds(
+        self, check, params_path, tmp_path, capsys
+    ):
+        # The stdout line ends in the job's timings: each thread's wall
+        # seconds and the CPU seconds it ran (its GIL waits are the
+        # difference), then the skipped count; the files hold no timings.
+        text = shipped_cfg("bound.cfg", ("trials = 100", "trials = 3"))
+        cfg = write_cfg(tmp_path, text)
+        args = ["bound", "--config", cfg, "--out", str(tmp_path), "--params", params_path]
+        assert main(args + check) == cli.EXIT_OK
+        line = capsys.readouterr().out
+        names = ["slack_s", "slack_cpu_s"] + (["check_s", "check_cpu_s"] if check else [])
+        pattern = "".join(rf" {name}=(\d+\.\d\d)" for name in names + ["job_s"])
+        match = re.search(pattern + r" skipped=0\n$", line)
+        assert match, line
+        seconds = dict(zip(names + ["job_s"], map(float, match.groups())))
+        # both are rounded to 0.01 s
+        assert seconds["slack_cpu_s"] <= seconds["slack_s"] + 0.01
+        if check:
+            assert seconds["check_cpu_s"] <= seconds["check_s"] + 0.01
+        for name in ("bound.csv", "bound.json"):
+            text = (tmp_path / name).read_text()
+            assert not [key for key in seconds if re.search(rf"\b{key}\b", text)]
 
 
 class TestNothingToEvaluate:

@@ -663,11 +663,10 @@ class TestMinBatch:
         # the bound audit skips the client of 2 training (or test) examples
         pb = bounds.PacBayesConfig(posterior_samples=2)
         for rows in (ClientDataset.train_arrays, ClientDataset.test_arrays):
-            audits = [
-                bounds.client_posterior_audit(params, *rows(c), pb, substream(44, 2))
-                for c in clients
+            inputs = [
+                bounds.audit_inputs(params.arch, *rows(c), pb, substream(44, 2)) for c in clients
             ]
-            assert [audit is None for audit in audits] == [False, True, False]
+            assert [batch is None for batch in inputs] == [False, True, False]
 
     def test_degenerate_round_names_it(self, rng):
         clients = [
